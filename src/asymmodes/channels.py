@@ -32,6 +32,8 @@ from .su2 import (
     DecomposedRep,
     SU2Representation,
     TensorOperatorBasis,
+    _expand,
+    _rows,
     _tensor_ops_between,
     _twice,
     decompose,
@@ -44,7 +46,7 @@ from .su2 import (
 
 def _liouville_rep(rep) -> DecomposedRep:
     """Decomposition of U x conj(U) acting on row-stacked operators."""
-    dec = decompose(rep) if isinstance(rep, SU2Representation) else rep
+    dec = decompose(rep)
     return dec.tensor(dec.conjugate())
 
 
@@ -74,10 +76,7 @@ def twirl_superop(e: Superoperator, in_rep, out_rep,
                   basis: TensorOperatorBasis | None = None) -> Superoperator:
     """Exact group average int dg U^out_g o e o U^in_{g^-1} (commutant projection)."""
     basis = basis or superop_twirl_basis(in_rep, out_rep)
-    liou = np.zeros_like(e.liouville)
-    for (tmu, tm, a), t in basis.ops.items():
-        if tmu == 0:
-            liou += t * np.vdot(t, e.liouville)
+    liou = basis.component(e.liouville, 0, 0)
     return Superoperator(liou, e.in_dim, e.out_dim, trace_preserving=e.trace_preserving)
 
 
@@ -106,14 +105,8 @@ class SuperopModeSpectrum:
 def superop_mode_spectrum(e: Superoperator, in_rep, out_rep, tol: float = 0.0,
                           keep_components: bool = True) -> SuperopModeSpectrum:
     basis = superop_tensor_basis(in_rep, out_rep)
-    acc: dict = {}
-    for (tmu, tm, a), t in basis.ops.items():
-        c = np.vdot(t, e.liouville)
-        if (tmu, tm) not in acc:
-            acc[(tmu, tm)] = np.zeros_like(e.liouville)
-        acc[(tmu, tm)] += c * t
     comps, norms = {}, {}
-    for mode, mat in sorted(acc.items()):
+    for mode, mat in basis.components(e.liouville).items():
         nrm = float(np.linalg.norm(mat))
         if nrm > tol:
             norms[mode] = nrm
@@ -144,6 +137,17 @@ class CovariantChannelCoefficients:
         return complex(block[0, 0])
 
 
+def _apply_blocks(c: CovariantChannelCoefficients, coeffs: np.ndarray) -> np.ndarray:
+    """Out-basis coefficients of E(x) from in-basis coefficients (one column
+    per operator): c^(mu) acts on the rows of every (mu, m)."""
+    ins, outs = c.in_basis.labels, c.out_basis.labels
+    out = np.zeros((len(outs),) + coeffs.shape[1:], dtype=complex)
+    for tmu, block in c.mu_blocks.items():
+        for tm in range(-tmu, tmu + 1, 2):
+            out[_rows(outs, tmu, tm)] = block @ coeffs[_rows(ins, tmu, tm)]
+    return out
+
+
 def reduce_covariant(e: Superoperator, in_basis: TensorOperatorBasis,
                      out_basis: TensorOperatorBasis, tol: float = 1e-8):
     """Coefficients c^(mu)_{beta alpha} = tr(S^dag E(T)) computed at the highest
@@ -152,49 +156,23 @@ def reduce_covariant(e: Superoperator, in_basis: TensorOperatorBasis,
 
     A residual above tol means e is not covariant (reported, not raised).
     """
+    n_in = len(in_basis.labels)
+    in_flat = in_basis.stack.reshape(n_in, e.in_dim ** 2)
+    images = (in_flat @ e.liouville.T).reshape(n_in, e.out_dim, e.out_dim)
+    overlaps = out_basis.coefficients(images)
     common = sorted(set(in_basis.ranks()) & set(out_basis.ranks()))
-    blocks = {}
-    for tmu in common:
-        in_alphas = in_basis.alphas_for(tmu)
-        out_alphas = out_basis.alphas_for(tmu)
-        c = np.zeros((len(out_alphas), len(in_alphas)), dtype=complex)
-        for ja, a in enumerate(in_alphas):
-            img_hi = apply_superop(e, in_basis.ops[(tmu, tmu, a)])
-            for jb, b in enumerate(out_alphas):
-                c[jb, ja] = np.vdot(out_basis.ops[(tmu, tmu, b)], img_hi)
-        blocks[tmu] = c
+    blocks = {tmu: overlaps[_rows(out_basis.labels, tmu, tmu),
+                            _rows(in_basis.labels, tmu, tmu)].copy() for tmu in common}
     coeffs = CovariantChannelCoefficients(blocks, in_basis, out_basis)
-
-    residual = 0.0
-    for (tmu, tm, a), t in in_basis.ops.items():
-        img = apply_superop(e, t)
-        recon = np.zeros((out_basis.dim_left, out_basis.dim_right), dtype=complex)
-        if tmu in blocks:
-            in_alphas = in_basis.alphas_for(tmu)
-            out_alphas = out_basis.alphas_for(tmu)
-            col = blocks[tmu][:, in_alphas.index(a)]
-            for jb, b in enumerate(out_alphas):
-                recon += col[jb] * out_basis.ops[(tmu, tm, b)]
-        residual = max(residual, trace_norm(img - recon))
+    recon = _expand(_apply_blocks(coeffs, np.eye(n_in)), out_basis.stack)
+    residual = max((trace_norm(gap) for gap in images - recon), default=0.0)
     return coeffs, residual
 
 
 def apply_reduced(c: CovariantChannelCoefficients, x) -> np.ndarray:
     """Reconstruct E(x) from the coefficient matrices."""
-    x = _as_matrix(x)
-    if x.shape != (c.in_basis.dim_left, c.in_basis.dim_right):
-        raise ValueError(f"operator shape {x.shape} does not match the input basis")
-    out = np.zeros((c.out_basis.dim_left, c.out_basis.dim_right), dtype=complex)
-    for tmu, block in c.mu_blocks.items():
-        in_alphas = c.in_basis.alphas_for(tmu)
-        out_alphas = c.out_basis.alphas_for(tmu)
-        for im in range(tmu + 1):
-            tm = tmu - 2 * im
-            coeffs = np.array([np.vdot(c.in_basis.ops[(tmu, tm, a)], x) for a in in_alphas])
-            weights = block @ coeffs
-            for jb, b in enumerate(out_alphas):
-                out += weights[jb] * c.out_basis.ops[(tmu, tm, b)]
-    return out
+    weights = _apply_blocks(c, c.in_basis.coefficients(x))
+    return _expand(weights, c.out_basis.stack)
 
 
 def compose_reduced(d: CovariantChannelCoefficients,
@@ -268,8 +246,8 @@ def simulate_with_frame(joint: Superoperator, frame, sys_rep, rf_rep,
     """Effective system channel E(X) = tr_RF(joint(X x rho_RF)) of a covariant
     joint channel; rejects joint maps whose covariance residual exceeds tol."""
     frame = _as_matrix(frame)
-    dec_sys = decompose(sys_rep) if isinstance(sys_rep, SU2Representation) else sys_rep
-    dec_rf = decompose(rf_rep) if isinstance(rf_rep, SU2Representation) else rf_rep
+    dec_sys = decompose(sys_rep)
+    dec_rf = decompose(rf_rep)
     d_sys, d_rf = dec_sys.dim, dec_rf.dim
     if joint.in_dim != d_sys * d_rf or joint.out_dim != d_sys * d_rf:
         raise ValueError("joint channel dimensions do not match sys x RF")
@@ -310,8 +288,8 @@ def random_covariant_channel(in_rep, out_rep, rng: np.random.Generator,
     """Random rotationally covariant channel: twirl of a random CP map, made
     trace preserving by an invariant pre-correction (resampling when the
     correction is not PSD-safe)."""
-    dec_in = decompose(in_rep) if isinstance(in_rep, SU2Representation) else in_rep
-    dec_out = decompose(out_rep) if isinstance(out_rep, SU2Representation) else out_rep
+    dec_in = decompose(in_rep)
+    dec_out = decompose(out_rep)
     d_in, d_out = dec_in.dim, dec_out.dim
     twirl_basis = twirl_basis or superop_twirl_basis(dec_in, dec_out)
     for _ in range(max_tries):
@@ -334,8 +312,8 @@ def random_covariant_channel(in_rep, out_rep, rng: np.random.Generator,
 def random_covariant_instrument(in_rep, out_rep, rng: np.random.Generator,
                                 n_outcomes: int = 2, max_tries: int = 20) -> list:
     """Covariant CP maps (one per flagged outcome) summing to a channel."""
-    dec_in = decompose(in_rep) if isinstance(in_rep, SU2Representation) else in_rep
-    dec_out = decompose(out_rep) if isinstance(out_rep, SU2Representation) else out_rep
+    dec_in = decompose(in_rep)
+    dec_out = decompose(out_rep)
     d_in, d_out = dec_in.dim, dec_out.dim
     basis = superop_twirl_basis(dec_in, dec_out)
     for _ in range(max_tries):
@@ -386,13 +364,7 @@ def missing_mode_family(n: int, beta_points: int = 72, max_dim: int = 200) -> Mi
 
     dec = decompose(rep)
     rank1 = _tensor_ops_between(dec, dec, ranks={2})
-    rank1_norms = {}
-    for tm in (-2, 0, 2):
-        comp = np.zeros_like(rho)
-        for (tmu, tmm, a), t in rank1.ops.items():
-            if tmm == tm:
-                comp += t * np.vdot(t, rho)
-        rank1_norms[tm] = trace_norm(comp)
+    rank1_norms = {tm: trace_norm(rank1.component(rho, 1, tm / 2)) for tm in (-2, 0, 2)}
 
     betas = np.linspace(0, np.pi, beta_points)
     overlaps = []

@@ -43,14 +43,8 @@ def mode_monotone_table(rho, rep, max_rank=None, basis: TensorOperatorBasis | No
     rho = _as_matrix(rho)
     basis = basis or tensor_basis_for(rep)
     tcap = None if max_rank is None else _twice(max_rank)
-    comps: dict = {}
-    for (tmu, tm, a), t in basis.ops.items():
-        if tcap is not None and tmu > tcap:
-            continue
-        if (tmu, tm) not in comps:
-            comps[(tmu, tm)] = np.zeros_like(t)
-        comps[(tmu, tm)] += t * np.vdot(t, rho)
-    return ModeMonotoneTable({mode: trace_norm(c) for mode, c in sorted(comps.items())})
+    return ModeMonotoneTable({mode: trace_norm(c) for mode, c in basis.components(rho).items()
+                              if tcap is None or mode[0] <= tcap})
 
 
 def spin_j_mode_monotone(rho, j, mu, m) -> float:
@@ -208,10 +202,11 @@ def simulation_parameter_report(rho, j, l, task: str, axial_axis=None) -> Simula
             labels.append(f"<L_n^{k}>")
     else:
         basis = tensor_basis_spin_j(j)
+        expectations = dict(zip(basis.labels, basis.coefficients(rho)))
         for tmu in range(2, min(tcap, 2 * tj) + 1, 2):
             for im in range(tmu + 1):
                 tm = tmu - 2 * im
-                ev = complex(np.trace(basis.ops[(tmu, tm, 0)].conj().T @ rho))
+                ev = complex(expectations[(tmu, tm, 0)])
                 if tm == 0:
                     values.append(ev.real)
                     labels.append(f"Re tr(rho T({tmu // 2},0)^dag)")

@@ -58,10 +58,7 @@ class Trajectory:
 
 
 def _expectations(rho, basis) -> dict:
-    out = {}
-    for (tmu, tm, a), t in basis.ops.items():
-        out[(tmu, tm)] = complex(np.trace(t.conj().T @ rho))
-    return out
+    return {(tmu, tm): complex(c) for (tmu, tm, _), c in zip(basis.labels, basis.coefficients(rho))}
 
 
 def degrade_trajectory(rho0, model: DegradationModel, steps: int) -> Trajectory:

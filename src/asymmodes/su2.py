@@ -18,7 +18,8 @@ Half-integer quantum numbers are carried as twice-values (ints) internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -316,6 +317,28 @@ def decompose(rep) -> DecomposedRep:
 # irreducible tensor operator bases
 # ---------------------------------------------------------------------------
 
+def _rows(labels: tuple, *prefix) -> slice:
+    """The rows of a sorted label tuple whose labels begin with prefix."""
+    return slice(bisect_left(labels, prefix),
+                 bisect_left(labels, prefix[:-1] + (prefix[-1] + 1,)))
+
+
+def _overlaps(rows: np.ndarray, x) -> np.ndarray:
+    """tr(rows[k]^dag x) for an operator x, or an (n, b) array for a batch (b, ., .);
+    conjugating the product instead of the rows keeps them from being copied."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim not in (2, 3) or x.shape[-2:] != rows.shape[1:]:
+        raise ValueError(f"operator shape {x.shape} does not match basis shape {rows.shape[1:]}")
+    flat = x.reshape(-1) if x.ndim == 2 else x.reshape(len(x), -1).T
+    return (rows.reshape(len(rows), len(flat)) @ flat.conj()).conj()
+
+
+def _expand(c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k c[k] rows[k]; a trailing batch axis of c gives a batch of operators."""
+    flat = rows.reshape(len(rows), rows.shape[1] * rows.shape[2])
+    return (c.T @ flat).reshape(c.shape[1:] + rows.shape[1:])
+
+
 @dataclass(frozen=True)
 class TensorOperatorBasis:
     """Orthonormal covariant operator basis between two decomposed reps.
@@ -323,6 +346,11 @@ class TensorOperatorBasis:
     ops maps (twice_mu, twice_m, alpha) to a dim_left x dim_right matrix;
     alpha enumerates ordered (left-component, right-component) pairs and
     pair_labels[alpha] records their (twice_j_left, twice_j_right).
+
+    The operators are held once: row k of stack (n, dim_left, dim_right) is
+    the operator labelled labels[k], and ops holds views of these rows.  labels
+    is sorted, so each mode (twice_mu, twice_m) is one contiguous slice of rows.
+    Projections go through coefficients(x) = stack.reshape(n, -1).conj() @ vec(x).
     """
 
     ops: dict
@@ -330,16 +358,29 @@ class TensorOperatorBasis:
     dim_right: int
     pair_labels: tuple
     rep: SU2Representation | None = None
+    stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+    labels: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        labels = tuple(sorted(self.ops))
+        shape = (self.dim_left, self.dim_right)
+        if self.stack is None:
+            if any(np.shape(t) != shape for t in self.ops.values()):
+                raise ValueError(f"every operator must have shape {shape}")
+            stack = np.array([self.ops[k] for k in labels], dtype=complex).reshape((-1,) + shape)
+            object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "ops", dict(zip(labels, self.stack)))
 
     @property
     def square(self) -> bool:
         return self.dim_left == self.dim_right
 
     def ranks(self) -> list:
-        return sorted({tmu for tmu, _, _ in self.ops})
+        return sorted({tmu for tmu, _, _ in self.labels})
 
     def alphas_for(self, tmu: int) -> list:
-        return sorted({a for mu, _, a in self.ops if mu == tmu})
+        return sorted({a for mu, _, a in self.labels if mu == tmu})
 
     def op(self, mu, m, alpha: int = 0) -> np.ndarray:
         return self.ops[(_twice(mu), _twice(m), alpha)]
@@ -348,22 +389,27 @@ class TensorOperatorBasis:
         t = self.op(mu, m, alpha)
         return complex(np.vdot(t, x))
 
+    def coefficients(self, x) -> np.ndarray:
+        """tr(T_k^dag x) for every row k, in labels order ((n, b) for a batch of b)."""
+        return _overlaps(self.stack, x)
+
     def component(self, x, mu, m) -> np.ndarray:
         """(mu,m) mode component: sum_alpha T tr(T^dag x)."""
-        x = _as_matrix(x)
-        tmu, tm = _twice(mu), _twice(m)
-        out = np.zeros((self.dim_left, self.dim_right), dtype=complex)
-        for (u, mm, a), t in self.ops.items():
-            if u == tmu and mm == tm:
-                out += t * np.vdot(t, x)
+        rows = self.stack[_rows(self.labels, _twice(mu), _twice(m))]
+        return _expand(_overlaps(rows, x), rows)
+
+    def components(self, x) -> dict:
+        """All mode components {(twice_mu, twice_m): matrix} of x, in labels order."""
+        c = self.coefficients(_as_matrix(x))
+        flat = self.stack.reshape(len(c), self.dim_left * self.dim_right)
+        out = {}
+        for mode in dict.fromkeys(label[:2] for label in self.labels):
+            s = _rows(self.labels, *mode)
+            out[mode] = (c[s] @ flat[s]).reshape(self.dim_left, self.dim_right)
         return out
 
     def reconstruct(self, x) -> np.ndarray:
-        x = _as_matrix(x)
-        out = np.zeros_like(x)
-        for t in self.ops.values():
-            out += t * np.vdot(t, x)
-        return out
+        return _expand(self.coefficients(x), self.stack)
 
 
 def _tensor_ops_between(left: DecomposedRep, right: DecomposedRep,
@@ -371,30 +417,29 @@ def _tensor_ops_between(left: DecomposedRep, right: DecomposedRep,
     """Covariant basis of B(H_right -> H_left): left(g) T right(g)^dag = sum D^mu T.
 
     Restricting `ranks` (a set of twice-mu) builds only those multiplets.
+    Rows are filled in place; stacking separate matrices would double peak memory.
     """
-    ops = {}
-    labels = []
-    for alpha, ((tja, va), (tjb, vb)) in enumerate(
-        (p, q) for p in left.components for q in right.components
-    ):
-        labels.append((tja, tjb))
-        for tmu in range(abs(tja - tjb), tja + tjb + 1, 2):
-            if ranks is not None and tmu not in ranks:
+    pairs = [(p, q) for p in left.components for q in right.components]
+    labels = sorted((tmu, tmu - 2 * im, alpha)
+                    for alpha, ((tja, _), (tjb, _)) in enumerate(pairs)
+                    for tmu in range(abs(tja - tjb), tja + tjb + 1, 2)
+                    if ranks is None or tmu in ranks
+                    for im in range(tmu + 1))
+    stack = np.zeros((len(labels), left.dim, right.dim), dtype=complex)
+    for t, (tmu, tm, alpha) in zip(stack, labels):
+        (tja, va), (tjb, vb) = pairs[alpha]
+        for ia in range(tja + 1):
+            tma = tja - 2 * ia
+            tmb = tma - tm
+            if abs(tmb) > tjb:
                 continue
-            for im in range(tmu + 1):
-                tm = tmu - 2 * im
-                t = np.zeros((left.dim, right.dim), dtype=complex)
-                for ia in range(tja + 1):
-                    tma = tja - 2 * ia
-                    tmb = tma - tm
-                    if abs(tmb) > tjb:
-                        continue
-                    c = _cg_twice(tja, tma, tjb, -tmb, tmu, tm)
-                    if c != 0.0:
-                        sign = (-1.0) ** ((tjb - tmb) // 2)
-                        t += (sign * c) * np.outer(va[:, ia], vb[:, (tjb - tmb) // 2].conj())
-                ops[(tmu, tm, alpha)] = t
-    return TensorOperatorBasis(ops, left.dim, right.dim, tuple(labels))
+            c = _cg_twice(tja, tma, tjb, -tmb, tmu, tm)
+            if c != 0.0:
+                sign = (-1.0) ** ((tjb - tmb) // 2)
+                t += (sign * c) * np.outer(va[:, ia], vb[:, (tjb - tmb) // 2].conj())
+    pair_labels = tuple((tja, tjb) for (tja, _), (tjb, _) in pairs)
+    return TensorOperatorBasis(dict(zip(labels, stack)), left.dim, right.dim, pair_labels,
+                               stack=stack)
 
 
 _basis_cache: dict = {}
@@ -405,9 +450,7 @@ def tensor_basis_general(rep: SU2Representation) -> TensorOperatorBasis:
     block-form representation; alpha runs over irrep-copy pairs."""
     if rep not in _basis_cache:
         dec = decompose(rep)
-        basis = _tensor_ops_between(dec, dec)
-        _basis_cache[rep] = TensorOperatorBasis(basis.ops, basis.dim_left, basis.dim_right,
-                                                basis.pair_labels, rep=rep)
+        _basis_cache[rep] = replace(_tensor_ops_between(dec, dec), rep=rep)
     return _basis_cache[rep]
 
 
@@ -429,11 +472,8 @@ def tensor_basis_for(rep_or_dec) -> TensorOperatorBasis:
 
 def so3_mode_project(x, rep, mu, m, basis: TensorOperatorBasis | None = None) -> np.ndarray:
     """(mu,m) mode component of an operator via the tensor-basis projection."""
-    x = _as_matrix(x)
     basis = basis or tensor_basis_for(rep)
-    if x.shape != (basis.dim_left, basis.dim_right):
-        raise ValueError(f"operator shape {x.shape} does not match representation")
-    return basis.component(x, mu, m)
+    return basis.component(_as_matrix(x), mu, m)
 
 
 def _quadrature_grid(t_band: int):
@@ -526,7 +566,7 @@ def so3_mode_project_quadrature(x, rep, mu, m) -> np.ndarray:
 
 def twirl_state(x, rep) -> np.ndarray:
     """Exact group average int dg U(g) X U(g)^dag by commutant projection."""
-    dec = decompose(rep) if isinstance(rep, SU2Representation) else rep
+    dec = decompose(rep)
     x = _as_matrix(x)
     out = np.zeros_like(x)
     by_j: dict = {}
@@ -559,8 +599,8 @@ def axial_twirl(rho, j, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
 def covariance_residual(basis: TensorOperatorBasis, left, right, angles) -> float:
     """Max |U_L T_m U_R^dag - sum_m' D^mu_{m'm} T_m'| over the basis and the
     supplied Euler triples."""
-    left = decompose(left) if isinstance(left, SU2Representation) else left
-    right = decompose(right) if isinstance(right, SU2Representation) else right
+    left = decompose(left)
+    right = decompose(right)
     multiplets: dict = {}
     for (tmu, tm, a), t in basis.ops.items():
         multiplets.setdefault((tmu, a), {})[tm] = t
@@ -579,10 +619,8 @@ def covariance_residual(basis: TensorOperatorBasis, left, right, angles) -> floa
 
 
 def orthonormality_residual(basis: TensorOperatorBasis) -> float:
-    keys = sorted(basis.ops)
-    flat = np.stack([basis.ops[k].reshape(-1) for k in keys])
-    gram = flat.conj() @ flat.T
-    return float(np.abs(gram - np.eye(len(keys))).max())
+    gram = basis.coefficients(basis.stack)
+    return float(np.abs(gram - np.eye(len(basis.labels))).max())
 
 
 @dataclass(frozen=True)
@@ -595,17 +633,13 @@ class ConjugationReport:
 def hermitian_conjugate_mode_check(basis: TensorOperatorBasis, tol: float = 1e-10) -> ConjugationReport:
     """Checks each T^dag lies in the span of the same-rank operators (for SU(2)
     the conjugate irrep is equivalent to the irrep itself)."""
-    by_mu: dict = {}
-    for (tmu, tm, a), t in basis.ops.items():
-        by_mu.setdefault(tmu, []).append(t)
     residuals = {}
-    worst = 0.0
-    for (tmu, tm, a), t in basis.ops.items():
-        td = t.conj().T
-        proj = np.zeros_like(td)
-        for s in by_mu[tmu]:
-            proj += s * np.vdot(s, td)
-        r = float(np.linalg.norm(td - proj))
-        residuals[(tmu, tm, a)] = r
-        worst = max(worst, r)
+    for tmu in basis.ranks():
+        rank = _rows(basis.labels, tmu)
+        ts = basis.stack[rank]
+        daggers = ts.conj().transpose(0, 2, 1)
+        gap = daggers - _expand(_overlaps(ts, daggers), ts)
+        norms = np.linalg.norm(gap.reshape(len(ts), -1), axis=1)
+        residuals.update(zip(basis.labels[rank], norms.tolist()))
+    worst = max(residuals.values(), default=0.0)
     return ConjugationReport(residuals, worst, worst <= tol)

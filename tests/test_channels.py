@@ -87,6 +87,34 @@ def test_reduce_depolarizing():
     assert np.vdot(t, apply_superop(chan, t)) == pytest.approx(1 - lam)
 
 
+def test_reduce_residual_of_noncovariant_map():
+    rng = np.random.default_rng(38)
+    basis = tensor_basis_general(REP_ONE)
+    kraus = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)]
+    w, v = np.linalg.eigh(sum(k.conj().T @ k for k in kraus))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    chan = channel_from_kraus([k @ inv_sqrt for k in kraus])
+    assert chan.trace_preserving
+    coeffs, residual = reduce_covariant(chan, basis, basis)
+
+    # reference: the definition, one operator at a time
+    expected = 0.0
+    for (tmu, tm, a), t in basis.ops.items():
+        alphas = basis.alphas_for(tmu)
+        img = apply_superop(chan, t)
+        hi = apply_superop(chan, basis.ops[(tmu, tmu, a)])
+        recon = np.zeros_like(img)
+        for jb, b in enumerate(alphas):
+            c = np.vdot(basis.ops[(tmu, tmu, b)], hi)
+            assert abs(coeffs.mu_blocks[tmu][jb, alphas.index(a)] - c) < 1e-12
+            recon += c * basis.ops[(tmu, tm, b)]
+        expected = max(expected, trace_norm(img - recon))
+    assert residual > 1e-2
+    assert abs(residual - expected) < 1e-12
+    with pytest.raises(ValueError):
+        apply_reduced(coeffs, np.eye(2))
+
+
 def test_apply_reduced_examples():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

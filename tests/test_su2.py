@@ -14,6 +14,7 @@ from asymmodes import (
     orthonormality_residual,
     so3_mode_project,
     so3_mode_project_quadrature,
+    superop_tensor_basis,
     tensor_basis_general,
     tensor_basis_spin_j,
     twirl_state,
@@ -350,6 +351,70 @@ def test_hermitian_conjugate_mode_check():
     assert np.abs(tp - c * tm).max() < 1e-12
     for j in (0.5, 1.5, 2, 3):
         assert hermitian_conjugate_mode_check(tensor_basis_spin_j(j)).ok
+
+
+def test_hermitian_conjugate_mode_check_multiplicity_and_broken_basis():
+    multiplicity = tensor_basis_general(SU2Representation(((1, 2), (3, 1))))
+    assert hermitian_conjugate_mode_check(multiplicity).ok
+    ops = dict(tensor_basis_spin_j(1).ops)
+    ops[(2, 2, 0)] = np.eye(3, dtype=complex) / np.sqrt(3)
+    report = hermitian_conjugate_mode_check(TensorOperatorBasis(ops, 3, 3, ((2, 2),)))
+    assert not report.ok
+    # I/sqrt(3) is its own conjugate, but T(1,-1)^dag lies along the removed T(1,1)
+    assert report.residuals[(2, 2, 0)] < 1e-12
+    assert report.residuals[(2, -2, 0)] > 0.5
+    assert report.max_residual == report.residuals[(2, -2, 0)]
+
+
+def _unsorted_spin_one_basis():
+    base = tensor_basis_spin_j(1)
+    ops = {key: base.ops[key].copy() for key in reversed(base.labels)}
+    return TensorOperatorBasis(ops, 3, 3, base.pair_labels)
+
+
+@pytest.mark.parametrize("make_basis", [
+    lambda: tensor_basis_spin_j(3),
+    lambda: tensor_basis_general(SU2Representation(((1, 2), (3, 1)))),
+    lambda: tensor_basis_general(SU2Representation(((4, 2), (3, 1), (2, 1), (0, 2)))),
+    lambda: superop_tensor_basis(SU2Representation.spin(0.5), SU2Representation.spin(1)),
+    _unsorted_spin_one_basis,
+], ids=["spin-3", "mult-1x2.3", "d19", "superop-half-to-one", "unsorted-dict"])
+def test_projection_kernel_matches_per_operator_loop(make_basis):
+    basis = make_basis()
+    rng = np.random.default_rng(37)
+    shape = (basis.dim_left, basis.dim_right)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    # reference: one vdot per operator, accumulated per mode
+    expected_coeffs = np.array([np.vdot(basis.ops[key], x) for key in basis.labels])
+    expected = {}
+    for (tmu, tm, _), t in basis.ops.items():
+        expected.setdefault((tmu, tm), np.zeros(shape, dtype=complex))
+        expected[(tmu, tm)] += t * np.vdot(t, x)
+
+    assert list(basis.labels) == sorted(basis.ops)
+    assert basis.stack.shape == (len(basis.labels),) + shape
+    assert np.abs(basis.coefficients(x) - expected_coeffs).max() < 1e-12
+    batch = basis.coefficients(np.stack([x, 2j * x]))
+    assert np.abs(batch - np.column_stack([expected_coeffs, 2j * expected_coeffs])).max() < 1e-12
+    comps = basis.components(x)
+    assert list(comps) == sorted(expected)
+    for (tmu, tm), ref in expected.items():
+        assert np.abs(comps[(tmu, tm)] - ref).max() < 1e-12
+        assert np.abs(basis.component(x, tmu / 2, tm / 2) - ref).max() < 1e-12
+    assert np.abs(basis.reconstruct(x) - sum(expected.values())).max() < 1e-12
+    for k, key in enumerate(basis.labels):
+        assert np.shares_memory(basis.ops[key], basis.stack)
+        assert np.array_equal(basis.ops[key], basis.stack[k])
+
+    wrong = np.zeros((basis.dim_left + 1, basis.dim_right), dtype=complex)
+    for project in (basis.coefficients, basis.components, basis.reconstruct,
+                    lambda y: basis.component(y, 0, 0)):
+        with pytest.raises(ValueError):
+            project(wrong)
+    if basis.dim_left != basis.dim_right:
+        with pytest.raises(ValueError):   # a transposed operator is rejected, not reshaped
+            TensorOperatorBasis({(0, 0, 0): np.zeros(shape[::-1])}, *shape, ((0, 0),))
 
 
 @pytest.mark.parametrize("j", [1, 1.5])
