@@ -19,7 +19,7 @@ from asymmodes import (
     U1Representation,
     alignment_accessible_state,
     gaussian_weights,
-    mode_monotone,
+    mode_norms,
     weighted_twirl,
 )
 
@@ -39,7 +39,7 @@ def run(cfg: Config) -> None:
     print("delta_theta," + ",".join(f"F_{k}" for k in range(cfg.dim)))
     for dt in cfg.widths:
         blurred = weighted_twirl(rho, rep, gaussian_weights(dt))
-        row = ",".join(f"{mode_monotone(blurred, rep, k):.6f}" for k in range(cfg.dim))
+        row = ",".join(f"{v:.6f}" for v in mode_norms(blurred, rep)[rep.spread:])
         print(f"{dt},{row}")
 
     # a qubit frame |0>+|1> has no mode k0 >= 2: the accessible joint state is

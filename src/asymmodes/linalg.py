@@ -54,12 +54,10 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
 
 
 def trace_norm(a) -> float:
-    """Sum of singular values.  Hermitian inputs shortcut through eigvalsh."""
+    """Sum of singular values."""
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"trace_norm needs a square matrix, got {a.shape}")
-    if is_hermitian(a, tol=1e-13):
-        return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).sum())
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 

@@ -351,6 +351,7 @@ class TensorOperatorBasis:
     the operator labelled labels[k], and ops holds views of these rows.  labels
     is sorted, so each mode (twice_mu, twice_m) is one contiguous slice of rows.
     Projections go through coefficients(x) = stack.reshape(n, -1).conj() @ vec(x).
+    stack is read-only, so no caller can change a cached basis.
     """
 
     ops: dict
@@ -369,6 +370,7 @@ class TensorOperatorBasis:
                 raise ValueError(f"every operator must have shape {shape}")
             stack = np.array([self.ops[k] for k in labels], dtype=complex).reshape((-1,) + shape)
             object.__setattr__(self, "stack", stack)
+        self.stack.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ops", dict(zip(labels, self.stack)))
 

@@ -69,16 +69,37 @@ def mode_project_dft(x, rep: U1Representation, k: int, n_samples: int | None = N
     return out / L
 
 
-def modes_of(x, rep: U1Representation, tol: float = DEFAULT_TOL) -> set:
-    """Set of modes k with ||x^(k)|| above tol."""
+def mode_norms(x, rep: U1Representation) -> np.ndarray:
+    """Trace norms ||x^(k)|| of every mode, k = -spread..spread at index k + spread.
+
+    Mode k maps charge sector n to sector n + k, so the blocks of x^(k) share
+    no rows and no columns and its trace norm is the sum of theirs.  Blocks of
+    equal shape take one batched SVD; a 1x1 block's trace norm is its modulus.
+    """
     x = _as_matrix(x)
     _check_dims(x, rep)
-    diffs = rep.charge_diffs()
-    out = set()
-    for k in range(-rep.spread, rep.spread + 1):
-        if trace_norm(np.where(diffs == k, x, 0.0)) > tol:
-            out.add(k)
+    q, sector = np.unique(rep.charges, return_inverse=True)
+    sizes = np.bincount(sector)
+    starts = np.cumsum(sizes) - sizes
+    members = np.argsort(sector, kind="stable")
+    # per sector size s: the charges (m,) and basis indices (m, s) of its m sectors
+    groups = [(s, q[sizes == s], members[starts[sizes == s, None] + np.arange(s)]) for s in np.unique(sizes)]
+    out = np.zeros(2 * rep.spread + 1)
+    for ra, qa, rows in groups:
+        for cb, qb, cols in groups:
+            blocks = x[rows[:, None, :, None], cols[None, :, None, :]]  # [a, b] = x[sector a, sector b]
+            if ra == cb == 1:
+                norms = np.abs(blocks[..., 0, 0])
+            else:
+                norms = np.linalg.svd(blocks, compute_uv=False).sum(axis=-1)
+            out += np.bincount((qa[:, None] - qb[None, :] + rep.spread).ravel(), norms.ravel(), out.size)
     return out
+
+
+def modes_of(x, rep: U1Representation, tol: float = DEFAULT_TOL) -> set:
+    """Set of modes k with ||x^(k)|| above tol."""
+    ks = range(-rep.spread, rep.spread + 1)
+    return {k for k, nrm in zip(ks, mode_norms(x, rep).tolist()) if nrm > tol}
 
 
 @dataclass(frozen=True)
@@ -91,17 +112,9 @@ class U1ModeSpectrum:
 
 
 def mode_spectrum(x, rep: U1Representation, tol: float = 0.0) -> U1ModeSpectrum:
-    x = _as_matrix(x)
-    _check_dims(x, rep)
-    diffs = rep.charge_diffs()
-    comps, norms = {}, {}
-    for k in range(-rep.spread, rep.spread + 1):
-        comp = np.where(diffs == k, x, 0.0)
-        nrm = trace_norm(comp)
-        if nrm > tol:
-            comps[k] = comp
-            norms[k] = nrm
-    return U1ModeSpectrum(comps, norms)
+    ks = range(-rep.spread, rep.spread + 1)
+    norms = {k: nrm for k, nrm in zip(ks, mode_norms(x, rep).tolist()) if nrm > tol}
+    return U1ModeSpectrum({k: mode_project(x, rep, k) for k in norms}, norms)
 
 
 def mode_monotone(rho, rep: U1Representation, k: int) -> float:
@@ -170,10 +183,9 @@ def weighted_twirl(rho, rep: U1Representation, weights: FourierWeights) -> np.nd
     rho = _as_matrix(rho)
     _check_dims(rho, rep)
     diffs = rep.charge_diffs()
-    ks = np.unique(diffs)
-    lut = {int(k): weights.coefficient(-int(k)) for k in ks}
-    w = np.vectorize(lambda k: lut[int(k)])(diffs)
-    return w * rho
+    ks, inverse = np.unique(diffs, return_inverse=True)
+    lut = np.array([weights.coefficient(-int(k)) for k in ks])
+    return lut[inverse].reshape(diffs.shape) * rho
 
 
 @dataclass(frozen=True)
@@ -192,41 +204,23 @@ class TransitionBound:
 def transition_bound(rho, sigma, rep: U1Representation, tol: float = DEFAULT_TOL) -> TransitionBound:
     """Bounds p ||sigma^(k)|| <= ||rho^(k)||, capped at 1, for every mode of
     sigma above tol.  If sigma has a mode that rho lacks, the overall bound is 0."""
-    rho, sigma = _as_matrix(rho), _as_matrix(sigma)
-    _check_dims(rho, rep)
-    _check_dims(sigma, rep)
-    diffs = rep.charge_diffs()
-    per = {}
-    overall = 1.0
-    for k in range(-rep.spread, rep.spread + 1):
-        ns = trace_norm(np.where(diffs == k, sigma, 0.0))
-        if ns <= tol:
-            continue
-        nr = trace_norm(np.where(diffs == k, rho, 0.0))
-        if nr <= tol:
-            per[k] = 0.0
-            overall = 0.0
-            continue
-        per[k] = min(1.0, nr / ns)
-        overall = min(overall, per[k])
-    return TransitionBound(per, overall)
+    ks = range(-rep.spread, rep.spread + 1)
+    per = {k: 0.0 if nr <= tol else min(1.0, nr / ns)
+           for k, nr, ns in zip(ks, mode_norms(rho, rep).tolist(), mode_norms(sigma, rep).tolist())
+           if ns > tol}
+    return TransitionBound(per, min(per.values(), default=1.0))
 
 
 def ensemble_bound(rho, ensemble, rep: U1Representation, tol: float = DEFAULT_TOL):
     """Residuals ||rho^(k)|| - sum_i p_i ||sigma_i^(k)|| for a state-to-ensemble
     transition; feasible iff all residuals >= -tol.  Returns (residuals, feasible)."""
-    rho = _as_matrix(rho)
-    _check_dims(rho, rep)
     probs = [p for _, p in ensemble]
     if any(p < 0 for p in probs) or sum(probs) > 1 + 1e-9:
         raise ValueError("ensemble probabilities must be nonnegative with sum <= 1")
-    diffs = rep.charge_diffs()
-    residuals = {}
-    for k in range(-rep.spread, rep.spread + 1):
-        r = trace_norm(np.where(diffs == k, rho, 0.0))
-        s = sum(p * trace_norm(np.where(diffs == k, _as_matrix(sig), 0.0)) for sig, p in ensemble)
-        if r > tol or s > tol:
-            residuals[k] = r - s
+    ks = range(-rep.spread, rep.spread + 1)
+    r = mode_norms(rho, rep)
+    s = sum((p * mode_norms(sig, rep) for sig, p in ensemble), np.zeros_like(r))
+    residuals = {k: rk - sk for k, rk, sk in zip(ks, r.tolist(), s.tolist()) if rk > tol or sk > tol}
     feasible = all(v >= -tol for v in residuals.values())
     return residuals, feasible
 
@@ -326,35 +320,27 @@ def alignment_accessible_state(tau, rep_rf: U1Representation, rho, rep_s: U1Repr
     return weighted_twirl(np.kron(tau, rho), joint, weights)
 
 
-def random_covariant_channel(rep: U1Representation, rng: np.random.Generator, n_kraus: int = 2):
-    """Random U(1)-covariant channel: mode-split random Kraus operators (each
-    component sits in a single mode, hence covariant), normalized to be
-    trace preserving by an invariant pre-correction."""
+def _covariant_kraus(rep: U1Representation, rng: np.random.Generator, n: int) -> list:
+    """n groups of Kraus operators: each group is one random operator split
+    into its modes (each piece sits in a single mode, hence is covariant), all
+    normalized to be trace preserving together by an invariant pre-correction."""
     d = rep.dim
     diffs = rep.charge_diffs()
-    pieces = []
-    for _ in range(n_kraus):
+    groups = []
+    for _ in range(n):
         k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        for mode in range(-rep.spread, rep.spread + 1):
-            comp = np.where(diffs == mode, k, 0.0)
-            if np.abs(comp).max() > 0:
-                pieces.append(comp)
-    s = sum(p.conj().T @ p for p in pieces)
+        groups.append([np.where(diffs == mode, k, 0.0) for mode in np.unique(diffs)])
+    s = sum(p.conj().T @ p for pieces in groups for p in pieces)
     w, v = np.linalg.eigh(s)
     corr = (v / np.sqrt(w)) @ v.conj().T
-    return channel_from_kraus([p @ corr for p in pieces])
+    return [[p @ corr for p in pieces] for pieces in groups]
+
+
+def random_covariant_channel(rep: U1Representation, rng: np.random.Generator, n_kraus: int = 2):
+    """Random U(1)-covariant channel built from n_kraus mode-split random Kraus operators."""
+    return channel_from_kraus([p for pieces in _covariant_kraus(rep, rng, n_kraus) for p in pieces])
 
 
 def random_covariant_instrument(rep: U1Representation, rng: np.random.Generator, n_outcomes: int = 2):
     """List of covariant CP maps (one per flagged outcome) summing to a channel."""
-    d = rep.dim
-    diffs = rep.charge_diffs()
-    outcome_pieces = []
-    for _ in range(n_outcomes):
-        k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        comps = [np.where(diffs == mode, k, 0.0) for mode in range(-rep.spread, rep.spread + 1)]
-        outcome_pieces.append([c for c in comps if np.abs(c).max() > 0])
-    s = sum(p.conj().T @ p for pieces in outcome_pieces for p in pieces)
-    w, v = np.linalg.eigh(s)
-    corr = (v / np.sqrt(w)) @ v.conj().T
-    return [channel_from_kraus([p @ corr for p in pieces]) for pieces in outcome_pieces]
+    return [channel_from_kraus(pieces) for pieces in _covariant_kraus(rep, rng, n_outcomes)]

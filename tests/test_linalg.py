@@ -60,6 +60,12 @@ def test_trace_norm_basics():
         trace_norm(np.ones((2, 3)))
 
 
+def test_trace_norm_tiny_nilpotent():
+    # within 1e-13 of Hermitian, yet its singular values are 4e-14 and 3e-14
+    a = np.array([[0, 3e-14, 0], [0, 0, 4e-14], [0, 0, 0]], dtype=complex)
+    assert trace_norm(a) == pytest.approx(7e-14, rel=1e-12, abs=0)
+
+
 def test_trace_norm_vs_eigendecomposition_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -11,6 +11,7 @@ from asymmodes import (
     haar_angles,
     hermitian_conjugate_mode_check,
     hs_inner,
+    mode_monotone_table,
     orthonormality_residual,
     so3_mode_project,
     so3_mode_project_quadrature,
@@ -415,6 +416,20 @@ def test_projection_kernel_matches_per_operator_loop(make_basis):
     if basis.dim_left != basis.dim_right:
         with pytest.raises(ValueError):   # a transposed operator is rejected, not reshaped
             TensorOperatorBasis({(0, 0, 0): np.zeros(shape[::-1])}, *shape, ((0, 0),))
+
+
+def test_cached_bases_are_read_only():
+    rep = SU2Representation.spin(1)
+    up = np.diag([1.0, 0, 0]).astype(complex)
+    before = mode_monotone_table(up, rep).entries
+    with pytest.raises(ValueError):
+        tensor_basis_spin_j(1).ops[(2, 0, 0)][...] = 0
+    for basis in (tensor_basis_general(rep), superop_tensor_basis(SU2Representation.spin(0.5), rep)):
+        with pytest.raises(ValueError):
+            basis.stack[...] = 0
+        assert not any(view.flags.writeable for view in basis.ops.values())
+    assert mode_monotone_table(up, rep).entries == before
+    assert before[(2, 0)] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("j", [1, 1.5])

@@ -14,6 +14,7 @@ from asymmodes import (
     joint_mode_component,
     joint_representation,
     mode_monotone,
+    mode_norms,
     mode_project,
     mode_project_dft,
     mode_spectrum,
@@ -239,6 +240,13 @@ def test_ensemble_bound_covariant_instrument():
         assert feasible, min(residuals.values())
 
 
+def test_ensemble_bound_rejects_wrong_shape_state():
+    rep = U1Representation((0, 1, 2))
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    with pytest.raises(ValueError):
+        ensemble_bound(rho, [(np.eye(1), 1.0)], rep)
+
+
 def test_ensemble_bound_rejects_bad_probabilities():
     rep = U1Representation((0, 1))
     rho = np.diag([0.5, 0.5]).astype(complex)
@@ -350,3 +358,54 @@ def test_mode_spectrum_consistency():
     assert np.abs(sum(spec.components.values()) - rho).max() < 1e-15
     for k, comp in spec.components.items():
         assert spec.norms[k] == pytest.approx(trace_norm(comp))
+
+
+def dense_mode_norms(x, rep):
+    return np.array([mode_monotone(x, rep, k) for k in range(-rep.spread, rep.spread + 1)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(min_value=-4, max_value=6), min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_mode_norms_match_dense_route(charges, seed):
+    rng = np.random.default_rng(seed)
+    rep = U1Representation(charges)
+    x = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
+    norms = mode_norms(x, rep)
+    assert norms.shape == (2 * rep.spread + 1,)
+    np.testing.assert_allclose(norms, dense_mode_norms(x, rep), rtol=1e-12, atol=0)
+
+
+def test_mode_norms_named_reps():
+    rng = np.random.default_rng(16)
+    reps = [
+        U1Representation((0, 0, 1, 1, 1, 2, 4, 4)),  # degenerate
+        U1Representation((0, 3, 7, 8, 15)),  # gapped
+        U1Representation((-3, -1, -1, 0, 2, 2, 2)),  # negative
+        U1Representation((5,)),  # one state
+        joint_representation(U1Representation(range(5)), U1Representation(range(4))),  # two modes
+    ]
+    for rep in reps:
+        d = rep.dim
+        for x in (rand_state(rng, d), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
+            np.testing.assert_allclose(mode_norms(x, rep), dense_mode_norms(x, rep), rtol=1e-12, atol=0)
+
+
+def test_mode_norms_rejects_wrong_shape():
+    rep = U1Representation((0, 1, 2))
+    for bad in (np.eye(2), np.ones((3, 2)), np.ones(3)):
+        with pytest.raises(ValueError):
+            mode_norms(bad, rep)
+
+
+def test_twirled_coherent_spectrum_mode_by_mode():
+    # |p_k| = e^{-k^2 dt^2/2} scales every mode of a pure state, whose mode-k
+    # norm is pure_mode_norm; modes far below 1e-14 must keep their relative accuracy
+    coh = coherent_state(3.0 * np.exp(0.3j), 100)
+    rep, dt = coh.representation, 0.3
+    sigma = weighted_twirl(coh.density, rep, FourierWeights.gaussian(dt))
+    spec = mode_spectrum(sigma, rep)
+    assert set(spec.norms) == set(range(-rep.spread, rep.spread + 1))
+    for k, v in spec.norms.items():
+        want = np.exp(-0.5 * (k * dt) ** 2) * pure_mode_norm(coh.amplitudes, k)
+        assert v == pytest.approx(want, rel=1e-12, abs=0)
