@@ -47,7 +47,7 @@ def state_from_json(obj, tol: float) -> DensityMatrix:
 
 def charges_from_json(obj) -> U1Representation:
     try:
-        return U1Representation(tuple(int(n) for n in obj["charges"]))
+        return U1Representation(tuple(obj["charges"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed charges object: {exc}") from exc
 

@@ -10,6 +10,7 @@ U(theta) X U(theta)^dag.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +24,17 @@ class U1Representation:
     charges: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "charges", tuple(int(n) for n in self.charges))
+        charges = tuple(self.charges)
+        if not charges:
+            raise ValueError("a U(1) representation needs at least one charge")
+        try:
+            ints = tuple(int(n) for n in charges)
+        except OverflowError as exc:
+            raise ValueError(f"charges must be integers: {exc}") from exc
+        bad = [n for n, i in zip(charges, ints) if n != i]
+        if bad:
+            raise ValueError(f"charges must be integers, got {bad}")
+        object.__setattr__(self, "charges", ints)
 
     @property
     def dim(self) -> int:
@@ -102,9 +113,30 @@ def modes_of(x, rep: U1Representation, tol: float = DEFAULT_TOL) -> set:
     return {k for k, nrm in zip(ks, mode_norms(x, rep).tolist()) if nrm > tol}
 
 
+class _ModeComponents(Mapping):
+    """Read-only {k: x^(k)} over the listed modes; each component is built by
+    mode_project when it is read, from a private copy of x."""
+
+    def __init__(self, x: np.ndarray, rep: U1Representation, modes):
+        self._x = x.copy()
+        self._rep = rep
+        self._modes = dict.fromkeys(modes)
+
+    def __getitem__(self, k) -> np.ndarray:
+        if k not in self._modes:
+            raise KeyError(k)
+        return mode_project(self._x, self._rep, k)
+
+    def __iter__(self):
+        return iter(self._modes)
+
+    def __len__(self) -> int:
+        return len(self._modes)
+
+
 @dataclass(frozen=True)
 class U1ModeSpectrum:
-    components: dict
+    components: Mapping
     norms: dict
 
     def modes(self, tol: float = DEFAULT_TOL) -> set:
@@ -112,9 +144,11 @@ class U1ModeSpectrum:
 
 
 def mode_spectrum(x, rep: U1Representation, tol: float = 0.0) -> U1ModeSpectrum:
+    """Norms of the modes above tol; their components are built when read."""
+    x = _as_matrix(x)
     ks = range(-rep.spread, rep.spread + 1)
     norms = {k: nrm for k, nrm in zip(ks, mode_norms(x, rep).tolist()) if nrm > tol}
-    return U1ModeSpectrum({k: mode_project(x, rep, k) for k in norms}, norms)
+    return U1ModeSpectrum(_ModeComponents(x, rep, norms), norms)
 
 
 def mode_monotone(rho, rep: U1Representation, k: int) -> float:
@@ -230,16 +264,7 @@ def joint_mode_component(rho1, rep1: U1Representation, rho2, rep2: U1Representat
     rho1, rho2 = _as_matrix(rho1), _as_matrix(rho2)
     _check_dims(rho1, rep1)
     _check_dims(rho2, rep2)
-    out = np.zeros((rep1.dim * rep2.dim, rep1.dim * rep2.dim), dtype=complex)
-    for k in range(-rep1.spread, rep1.spread + 1):
-        c1 = mode_project(rho1, rep1, k)
-        if not c1.any():
-            continue
-        c2 = mode_project(rho2, rep2, j - k)
-        if not c2.any():
-            continue
-        out += np.kron(c1, c2)
-    return out
+    return mode_project(np.kron(rho1, rho2), joint_representation(rep1, rep2), j)
 
 
 def joint_representation(rep1: U1Representation, rep2: U1Representation) -> U1Representation:

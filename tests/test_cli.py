@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asymmodes import serialize
+from asymmodes import serialize, u1
 from asymmodes.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "psi_monotones.csv"
@@ -159,6 +159,26 @@ def test_tol_env_override(workspace, capsys, monkeypatch):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["modes"] == [0]   # huge tolerance hides the off-diagonal modes (norm 2/3)
+
+
+def test_decompose_rejects_non_integer_charges(workspace, capsys):
+    half = write_json(workspace["dir"] / "half.json", {"charges": [0, 1.5]})
+    rc = main(["u1", "decompose", "--state", workspace["uphalf"], "--charges", half])
+    assert rc == 1
+    assert "malformed charges object" in capsys.readouterr().err
+
+
+def test_decompose_builds_no_mode_components(tmp_path, capsys, monkeypatch):
+    calls = []
+    project = u1.mode_project
+    monkeypatch.setattr(u1, "mode_project", lambda *args: calls.append(args[2]) or project(*args))
+    coh = u1.coherent_state(3.0, 100)
+    state = write_json(tmp_path / "coh100.json", serialize.matrix_to_json(coh.density))
+    charges = write_json(tmp_path / "fock100.json", serialize.charges_to_json(coh.representation))
+    rc = main(["u1", "decompose", "--state", state, "--charges", charges])
+    assert rc == 0
+    assert len(json.loads(capsys.readouterr().out)["modes"]) > 50
+    assert calls == []
 
 
 def test_mismatched_dims_exit_code(workspace, capsys):

@@ -262,11 +262,19 @@ def test_joint_mode_component():
     d2 = np.diag([0.7, 0.3]).astype(complex)
     assert np.allclose(joint_mode_component(d1, rep1, d2, rep2, 0), np.kron(d1, d2))
     assert np.allclose(joint_mode_component(d1, rep1, d2, rep2, 9), 0)
-    r1, r2 = rand_state(rng, 2), rand_state(rng, 2)
-    joint = joint_representation(rep1, rep2)
-    for j in range(-3, 4):
-        direct = mode_project(np.kron(r1, r2), joint, j)
-        assert np.abs(joint_mode_component(r1, rep1, r2, rep2, j) - direct).max() < 1e-12
+
+    def summed(r1, rep1, r2, rep2, j):  # (rho1 x rho2)^(j) = sum_k rho1^(k) x rho2^(j-k)
+        return sum(np.kron(mode_project(r1, rep1, k), mode_project(r2, rep2, j - k))
+                   for k in range(-rep1.spread, rep1.spread + 1))
+
+    gapped = (U1Representation((0, 3, 7)), U1Representation((-2, 0, 0, 5)))
+    for (a, b), js in (((rep1, rep2), range(-3, 4)), (gapped, range(-15, 16))):
+        r1, r2 = rand_state(rng, a.dim), rand_state(rng, b.dim)
+        for j in js:
+            np.testing.assert_array_equal(joint_mode_component(r1, a, r2, b, j), summed(r1, a, r2, b, j))
+    # the factors are checked one by one, even where their Kronecker product fits the joint rep
+    with pytest.raises(ValueError):
+        joint_mode_component(np.eye(4), gapped[0], np.eye(3), gapped[1], 0)
 
 
 def test_coherent_state():
@@ -358,6 +366,36 @@ def test_mode_spectrum_consistency():
     assert np.abs(sum(spec.components.values()) - rho).max() < 1e-15
     for k, comp in spec.components.items():
         assert spec.norms[k] == pytest.approx(trace_norm(comp))
+
+
+def test_mode_spectrum_components_are_built_when_read():
+    rng = np.random.default_rng(17)
+    rep = U1Representation((0, 0, 1, 3, 4))
+    x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    x[rep.charge_diffs() == 2] = 0
+    spec = mode_spectrum(x, rep, tol=1e-12)
+    assert 2 not in spec.norms and len(spec.norms) == 8
+    assert list(spec.components) == list(spec.norms)
+    assert len(spec.components) == len(spec.norms)
+    for k in spec.norms:
+        np.testing.assert_array_equal(spec.components[k], mode_project(x, rep, k))
+    for missing in (2, 9):
+        with pytest.raises(KeyError):
+            spec.components[missing]
+    with pytest.raises(TypeError):
+        spec.components[0] = x
+    want = {k: mode_project(x, rep, k) for k in spec.norms}
+    x[...] = 0  # the caller reuses its input
+    spec.components[0][...] = 7  # and writes into a component it was given
+    for k in spec.norms:
+        np.testing.assert_array_equal(spec.components[k], want[k])
+
+
+def test_representation_rejects_non_integer_and_empty_charges():
+    assert U1Representation((0, 2.0, np.int64(-3))).charges == (0, 2, -3)
+    for bad in ((0, 0.5, 1.7), (1.5,), (), (float("nan"),), (float("inf"),)):
+        with pytest.raises(ValueError):
+            U1Representation(bad)
 
 
 def dense_mode_norms(x, rep):
