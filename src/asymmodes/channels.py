@@ -165,7 +165,7 @@ def reduce_covariant(e: Superoperator, in_basis: TensorOperatorBasis,
                             _rows(in_basis.labels, tmu, tmu)].copy() for tmu in common}
     coeffs = CovariantChannelCoefficients(blocks, in_basis, out_basis)
     recon = _expand(_apply_blocks(coeffs, np.eye(n_in)), out_basis.stack)
-    residual = max((trace_norm(gap) for gap in images - recon), default=0.0)
+    residual = float(np.linalg.svd(images - recon, compute_uv=False).sum(-1).max(initial=0.0))
     return coeffs, residual
 
 

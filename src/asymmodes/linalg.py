@@ -10,6 +10,7 @@ and of a Kraus map ``X -> sum_i K_i X K_i^dag`` is ``sum_i kron(K_i, conj(K_i))`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +60,48 @@ def trace_norm(a) -> float:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"trace_norm needs a square matrix, got {a.shape}")
     return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+@lru_cache(maxsize=32)
+def _sector_plan(charges: tuple) -> list:
+    """Per pair of sector size classes ceil(log2 s): block row and column indices,
+    padded to the class's widest sector with the zero sentinel d, and block shifts."""
+    q, sector = np.unique(charges, return_inverse=True)
+    sizes = np.bincount(sector)
+    members = np.append(np.argsort(sector, kind="stable"), len(charges))
+    starts, size_class = np.cumsum(sizes) - sizes, np.ceil(np.log2(sizes))
+    classes = []
+    for c in np.unique(size_class):
+        sel = size_class == c
+        lanes = np.arange(sizes[sel].max())
+        classes.append((q[sel], members[np.where(lanes < sizes[sel, None], starts[sel, None] + lanes, -1)]))
+    return [(rows[:, None, :, None], cols[None, :, None, :], (qa[:, None] - qb + q[-1] - q[0]).ravel())
+            for qa, rows in classes for qb, cols in classes]
+
+
+def sector_trace_norms(xs, charges) -> np.ndarray:
+    """Entry [i, k + spread] sums the trace norms of the blocks xs[i][sector a,
+    sector b] with charges q_a - q_b = k, for a batch (n, d, d) or one matrix: a
+    mode shifting every sector by k has only such blocks, in disjoint rows and
+    columns.  Zero padding keeps singular values, so each pair of size classes
+    takes one batched SVD (1x1: the modulus) per chunk of ~2**18 padded entries."""
+    xs = np.asarray(xs, dtype=complex)
+    d, width = len(charges), 2 * (max(charges) - min(charges)) + 1
+    if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
+        raise ValueError(f"operator shape {xs.shape} does not match {d} charges")
+    batch = xs.reshape(-1, d, d)
+    out = np.zeros((len(batch), width))
+    step = max(1, 2**18 // (d + 1) ** 2)
+    for lo in range(0, len(batch), step):
+        padded = np.zeros((len(batch[lo:lo + step]), d + 1, d + 1), dtype=complex)
+        padded[:, :d, :d] = batch[lo:lo + step]
+        for rows, cols, shift in _sector_plan(tuple(charges)):
+            blocks = padded[:, rows, cols]
+            norms = (np.abs(blocks[..., 0, 0]) if blocks.shape[-2:] == (1, 1)
+                     else np.linalg.svd(blocks, compute_uv=False).sum(axis=-1))
+            at = np.arange(len(padded))[:, None] * width + shift
+            out[lo:lo + step] += np.bincount(at.ravel(), norms.ravel(), len(padded) * width).reshape(-1, width)
+    return out.reshape(xs.shape[:-2] + (width,))
 
 
 def tensor_product(a, b) -> np.ndarray:

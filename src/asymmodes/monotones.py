@@ -9,11 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_matrix, trace_norm
+from .linalg import _as_matrix, sector_trace_norms, trace_norm
 from .su2 import (
     HalfInteger,
     SU2Representation,
-    TensorOperatorBasis,
     _twice,
     angular_momentum,
     axial_twirl,
@@ -39,12 +38,16 @@ class ModeMonotoneTable:
         return {k for k, v in self.entries.items() if v > tol}
 
 
-def mode_monotone_table(rho, rep, max_rank=None, basis: TensorOperatorBasis | None = None) -> ModeMonotoneTable:
-    rho = _as_matrix(rho)
-    basis = basis or tensor_basis_for(rep)
-    tcap = None if max_rank is None else _twice(max_rank)
-    return ModeMonotoneTable({mode: trace_norm(c) for mode, c in basis.components(rho).items()
-                              if tcap is None or mode[0] <= tcap})
+def mode_monotone_table(rho, rep, max_rank=None) -> ModeMonotoneTable:
+    """||rho^(mu,m)||_1 of every mode from one sector_trace_norms call: in the
+    isometries' basis Lz is diagonal, and the (mu,m) component maps Lz sector M to M + m."""
+    isometries = decompose(rep).components
+    w = np.hstack([v for _, v in isometries])
+    frame = tensor_basis_for(SU2Representation(tuple((tj, 1) for tj, _ in isometries)))
+    comps = {mode: c for mode, c in frame.components(w.conj().T @ _as_matrix(rho) @ w).items()
+             if max_rank is None or mode[0] <= _twice(max_rank)}
+    norms = sector_trace_norms(np.array(list(comps.values())), [tj - 2 * i for tj, _ in isometries for i in range(tj + 1)])
+    return ModeMonotoneTable({mode: float(row[mode[1] + len(row) // 2]) for mode, row in zip(comps, norms)})
 
 
 def spin_j_mode_monotone(rho, j, mu, m) -> float:

@@ -58,10 +58,9 @@ def charges_to_json(rep: U1Representation) -> dict:
 
 def rep_from_json(obj) -> SU2Representation:
     try:
-        blocks = tuple((int(b["twice_j"]), int(b["mult"])) for b in obj["blocks"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return SU2Representation(tuple((b["twice_j"], b["mult"]) for b in obj["blocks"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed representation object: {exc}") from exc
-    return SU2Representation(blocks)
 
 
 def rep_to_json(rep: SU2Representation) -> dict:

@@ -204,10 +204,11 @@ class SU2Representation:
     blocks: tuple  # of (twice_j, mult)
 
     def __post_init__(self):
+        if not self.blocks or not all(float(v).is_integer() for block in self.blocks for v in block):
+            raise ValueError(f"blocks must be a nonempty list of integer pairs, got {self.blocks!r}")
         norm = tuple((int(tj), int(mult)) for tj, mult in self.blocks)
-        for tj, mult in norm:
-            if tj < 0 or mult < 1:
-                raise ValueError(f"invalid block (twice_j={tj}, mult={mult})")
+        if norm != tuple(map(tuple, self.blocks)) or any(tj < 0 or mult < 1 for tj, mult in norm):
+            raise ValueError(f"blocks must be integer pairs (twice_j >= 0, mult >= 1), got {self.blocks!r}")
         object.__setattr__(self, "blocks", norm)
 
     @classmethod

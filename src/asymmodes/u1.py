@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _as_matrix, channel_from_kraus, trace_norm
+from .linalg import DEFAULT_TOL, _as_matrix, channel_from_kraus, sector_trace_norms, trace_norm
 
 
 @dataclass(frozen=True)
@@ -81,30 +81,8 @@ def mode_project_dft(x, rep: U1Representation, k: int, n_samples: int | None = N
 
 
 def mode_norms(x, rep: U1Representation) -> np.ndarray:
-    """Trace norms ||x^(k)|| of every mode, k = -spread..spread at index k + spread.
-
-    Mode k maps charge sector n to sector n + k, so the blocks of x^(k) share
-    no rows and no columns and its trace norm is the sum of theirs.  Blocks of
-    equal shape take one batched SVD; a 1x1 block's trace norm is its modulus.
-    """
-    x = _as_matrix(x)
-    _check_dims(x, rep)
-    q, sector = np.unique(rep.charges, return_inverse=True)
-    sizes = np.bincount(sector)
-    starts = np.cumsum(sizes) - sizes
-    members = np.argsort(sector, kind="stable")
-    # per sector size s: the charges (m,) and basis indices (m, s) of its m sectors
-    groups = [(s, q[sizes == s], members[starts[sizes == s, None] + np.arange(s)]) for s in np.unique(sizes)]
-    out = np.zeros(2 * rep.spread + 1)
-    for ra, qa, rows in groups:
-        for cb, qb, cols in groups:
-            blocks = x[rows[:, None, :, None], cols[None, :, None, :]]  # [a, b] = x[sector a, sector b]
-            if ra == cb == 1:
-                norms = np.abs(blocks[..., 0, 0])
-            else:
-                norms = np.linalg.svd(blocks, compute_uv=False).sum(axis=-1)
-            out += np.bincount((qa[:, None] - qb[None, :] + rep.spread).ravel(), norms.ravel(), out.size)
-    return out
+    """Trace norms ||x^(k)|| at index k + spread, k = -spread..spread (linalg.sector_trace_norms)."""
+    return sector_trace_norms(_as_matrix(x), rep.charges)
 
 
 def modes_of(x, rep: U1Representation, tol: float = DEFAULT_TOL) -> set:

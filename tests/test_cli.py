@@ -168,6 +168,17 @@ def test_decompose_rejects_non_integer_charges(workspace, capsys):
     assert "malformed charges object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocks", [[{"twice_j": 2.5, "mult": 1}], [{"twice_j": "4", "mult": 1}],
+                                    [{"twice_j": 2, "mult": 1.9}], [{"twice_j": 10**400, "mult": 1}], []])
+def test_tensor_basis_rejects_malformed_blocks(workspace, capsys, blocks):
+    bad = write_json(workspace["dir"] / "bad_rep.json", {"blocks": blocks})
+    rc = main(["su2", "tensor-basis", "--rep", bad])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "malformed representation object" in captured.err
+
+
 def test_decompose_builds_no_mode_components(tmp_path, capsys, monkeypatch):
     calls = []
     project = u1.mode_project

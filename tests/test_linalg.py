@@ -17,6 +17,7 @@ from asymmodes import (
     unvec,
     vec,
 )
+from asymmodes.linalg import sector_trace_norms
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -193,3 +194,34 @@ def test_povm_validation():
         POVM.from_elements([np.diag([1.0, 0.0])])
     with pytest.raises(ValueError):
         POVM.from_elements([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
+
+def _dense_shift_norms(x, charges):
+    """Per-shift trace norms of x masked to the entries with q_row - q_col = k."""
+    q = np.asarray(charges)
+    diffs = q[:, None] - q[None, :]
+    spread = q.max() - q.min()
+    return np.array([trace_norm(np.where(diffs == k, x, 0)) for k in range(-spread, spread + 1)])
+
+
+@pytest.mark.parametrize("charges", [
+    (3,) * 12 + (0, 1, 2, 4, 5, 6),  # one sector of 12 beside singletons
+    (4, -2, 4, 9, -2, 0, 9, 9, -7),  # gapped, negative and unsorted
+    (1, 1, 0, 0, 0, 2, 2, 2, 2, 2, 3),  # sizes 2, 3, 5, 1 in four size classes
+    (5,),
+], ids=["skewed", "gapped-negative", "size-classes", "one-state"])
+def test_sector_trace_norms_match_dense_masks(charges):
+    rng = np.random.default_rng(61)
+    d = len(charges)
+    xs = random_complex(rng, (4, d, d))
+    norms = sector_trace_norms(xs, charges)
+    assert norms.shape == (4, 2 * (max(charges) - min(charges)) + 1)
+    for x, row in zip(xs, norms):
+        np.testing.assert_allclose(row, _dense_shift_norms(x, charges), rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(sector_trace_norms(x, charges), row)
+
+
+def test_sector_trace_norms_rejects_wrong_shapes():
+    for bad in (np.eye(2), np.ones((2, 3, 2)), np.ones(3), np.ones((1, 1, 3, 3))):
+        with pytest.raises(ValueError):
+            sector_trace_norms(bad, (0, 1, 1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from asymmodes import (
+    DecomposedRep,
     SU2Representation,
     angular_momentum,
     angular_momentum_monotone,
@@ -18,10 +19,12 @@ from asymmodes import (
     simulation_parameter_report,
     spin_j_mode_monotone,
     tensor_basis_spin_j,
+    trace_norm,
     trace_sqrt_lz_sq,
     wigner_D,
 )
 from asymmodes.channels import random_covariant_instrument
+from asymmodes.su2 import decompose, tensor_basis_for
 
 REP_HALF = SU2Representation.spin(0.5)
 
@@ -279,3 +282,48 @@ def test_equivalence_from_matched_axial_moments():
     full = equal_moment_equivalence_check(rho0, rho1, 1.5, 1.5, "channel",
                                           axial_axis=(0, 0, 1))
     assert not full.equivalent
+
+
+def _dense_table(rho, rep):
+    """One dense SVD per mode component, the route the sector kernel replaces."""
+    return {mode: trace_norm(c) for mode, c in tensor_basis_for(rep).components(rho).items()}
+
+
+def _assert_tables_close(got, want):
+    assert got.keys() == want.keys()
+    for mode, v in want.items():
+        assert got[mode] == pytest.approx(v, rel=1e-12, abs=1e-12), mode
+
+
+@pytest.mark.parametrize("blocks", [((tj, 1),) for tj in range(1, 13)]
+                         + [((1, 2),), ((2, 2),), ((1, 1), (3, 1)), ((4, 2), (3, 1), (2, 1), (0, 2))],
+                         ids=lambda b: "+".join(f"{tj}x{m}" for tj, m in b))
+def test_table_matches_dense_trace_norms(blocks):
+    rep = SU2Representation(blocks)
+    rng = np.random.default_rng(sum(tj * m for tj, m in blocks))
+    for rho in (random_density_matrix(rep.dim, rng), random_density_matrix(rep.dim, rng, rank=1)):
+        _assert_tables_close(mode_monotone_table(rho, rep).entries, _dense_table(rho, rep))
+
+
+def test_table_of_decomposed_reps():
+    rng = np.random.default_rng(29)
+    dec = decompose(SU2Representation.spin(0.5)).tensor(decompose(SU2Representation(((2, 1), (1, 1)))))
+    rho = random_density_matrix(dec.dim, rng)
+    table = mode_monotone_table(rho, dec).entries
+    _assert_tables_close(table, _dense_table(rho, dec))
+    # isometries rotated by a unitary U: the table of U rho U^dag is the table of rho
+    u, _ = np.linalg.qr(rng.normal(size=(dec.dim, dec.dim)) + 1j * rng.normal(size=(dec.dim, dec.dim)))
+    rotated = DecomposedRep(dec.dim, tuple((tj, u @ v) for tj, v in dec.components))
+    _assert_tables_close(mode_monotone_table(u @ rho @ u.conj().T, rotated).entries, table)
+
+
+def test_table_max_rank_keeps_the_lower_ranks():
+    rep = SU2Representation(((1, 2), (4, 1)))
+    rho = random_density_matrix(rep.dim, np.random.default_rng(8))
+    full = mode_monotone_table(rho, rep).entries
+    for max_rank in (0, 0.5, 1, 2.5):
+        capped = mode_monotone_table(rho, rep, max_rank=max_rank).entries
+        assert capped == {mode: v for mode, v in full.items() if mode[0] <= 2 * max_rank}
+    for bad in (np.eye(rep.dim - 1), np.eye(rep.dim)[:, :-1], np.ones(rep.dim)):
+        with pytest.raises(ValueError):
+            mode_monotone_table(bad, rep)

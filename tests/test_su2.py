@@ -267,6 +267,14 @@ def test_spin_j_basis_covariance_and_gram(j):
     assert orthonormality_residual(basis) < 1e-12
 
 
+def test_representation_rejects_non_integer_and_empty_blocks():
+    assert SU2Representation(((2.0, np.int64(1)), (np.float64(3), 2))).blocks == ((2, 1), (3, 2))
+    for bad in (((1.5, 1),), ((2, 1.9),), ((2, 1), (0.5, 1)), (), ((float("nan"), 1),),
+                ((float("inf"), 1),), (("4", 1),), ((-2, 1),), ((2, 0),)):
+        with pytest.raises(ValueError):
+            SU2Representation(bad)
+
+
 def test_general_basis_single_irrep_matches_spin_basis():
     basis_a = tensor_basis_spin_j(1.5)
     basis_b = tensor_basis_general(SU2Representation.spin(1.5))

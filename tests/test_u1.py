@@ -403,7 +403,7 @@ def dense_mode_norms(x, rep):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.lists(st.integers(min_value=-4, max_value=6), min_size=1, max_size=8),
+@given(st.lists(st.integers(min_value=-4, max_value=6), min_size=1, max_size=24),
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_mode_norms_match_dense_route(charges, seed):
     rng = np.random.default_rng(seed)
@@ -427,6 +427,19 @@ def test_mode_norms_named_reps():
         d = rep.dim
         for x in (rand_state(rng, d), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))):
             np.testing.assert_allclose(mode_norms(x, rep), dense_mode_norms(x, rep), rtol=1e-12, atol=0)
+
+
+def test_mode_norms_takes_one_svd_per_pair_of_size_classes(monkeypatch):
+    # the (8,8) two-mode rep has sectors of sizes 1..9, in the classes ceil(log2 s) = 0..4
+    rep = joint_representation(U1Representation(range(9)), U1Representation(range(9)))
+    x = rand_state(np.random.default_rng(3), rep.dim)
+    want = dense_mode_norms(x, rep)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    norms = mode_norms(x, rep)
+    assert 0 < len(calls) <= 25
+    np.testing.assert_allclose(norms, want, rtol=1e-12, atol=0)
 
 
 def test_mode_norms_rejects_wrong_shape():
