@@ -369,8 +369,7 @@ def missing_mode_family(n: int, beta_points: int = 72, max_dim: int = 200) -> Mi
     betas = np.linspace(0, np.pi, beta_points)
     overlaps = []
     for b in betas:
-        u = rep.unitary(0.0, b, 0.0)
-        overlaps.append(abs(np.vdot(psi, u @ psi)) ** 2)
+        overlaps.append(abs(np.vdot(psi, rep.little_d(b) @ psi)) ** 2)
     overlaps = np.array(overlaps)
     imin = int(np.argmin(overlaps))
     return MissingModeReport(psi, rep, rank1_norms, (2, rank1_norms[0]),

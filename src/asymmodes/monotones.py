@@ -5,6 +5,7 @@ parameter-count reports.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from .linalg import _as_matrix, sector_trace_norms, trace_norm
 from .su2 import (
     HalfInteger,
     SU2Representation,
+    _operator,
     _twice,
     angular_momentum,
     axial_twirl,
@@ -40,14 +42,15 @@ class ModeMonotoneTable:
 
 def mode_monotone_table(rho, rep, max_rank=None) -> ModeMonotoneTable:
     """||rho^(mu,m)||_1 of every mode from one sector_trace_norms call: in the
-    isometries' basis Lz is diagonal, and the (mu,m) component maps Lz sector M to M + m."""
-    isometries = decompose(rep).components
-    w = np.hstack([v for _, v in isometries])
-    frame = tensor_basis_for(SU2Representation(tuple((tj, 1) for tj, _ in isometries)))
-    comps = {mode: c for mode, c in frame.components(w.conj().T @ _as_matrix(rho) @ w).items()
-             if max_rank is None or mode[0] <= _twice(max_rank)}
-    norms = sector_trace_norms(np.array(list(comps.values())), [tj - 2 * i for tj, _ in isometries for i in range(tj + 1)])
-    return ModeMonotoneTable({mode: float(row[mode[1] + len(row) // 2]) for mode, row in zip(comps, norms)})
+    block form Lz is diagonal, and the (mu,m) component maps Lz sector M to M + m.
+    Modes sort by rank, so max_rank keeps a prefix of them."""
+    w, block = decompose(rep).block_form()
+    frame = tensor_basis_for(block)
+    rho = _operator(_as_matrix(rho), w.shape)
+    n = len(frame.modes) if max_rank is None else bisect_left(frame.modes, (_twice(max_rank) + 1,))
+    norms = sector_trace_norms(frame.mode_stack(w.conj().T @ rho @ w)[:n], block.twice_m)
+    return ModeMonotoneTable({mode: float(row[mode[1] + len(row) // 2])
+                              for mode, row in zip(frame.modes, norms)})
 
 
 def spin_j_mode_monotone(rho, j, mu, m) -> float:

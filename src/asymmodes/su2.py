@@ -227,28 +227,28 @@ class SU2Representation:
     def max_twice_j(self) -> int:
         return max(tj for tj, _ in self.blocks)
 
-    def unitary(self, alpha: float, beta: float, gamma: float) -> np.ndarray:
-        mats = [np.kron(wigner_D(HalfInteger(tj), alpha, beta, gamma), np.eye(mult))
-                for tj, mult in self.blocks]
+    @property
+    def twice_m(self) -> np.ndarray:
+        """Twice the Lz eigenvalue of each basis vector: block (j, mult) runs
+        m = j..-j, each m repeated mult times."""
+        return np.concatenate([np.repeat(np.arange(tj, -tj - 1, -2), mult) for tj, mult in self.blocks])
+
+    def little_d(self, beta: float) -> np.ndarray:
+        """The block diagonal of d^j(beta) x I_mult; the one assembler of the block layout."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         off = 0
-        for m in mats:
-            d = m.shape[0]
-            out[off:off + d, off:off + d] = m
-            off += d
+        for tj, mult in self.blocks:
+            n = (tj + 1) * mult
+            out[off:off + n, off:off + n] = np.kron(wigner_d(HalfInteger(tj), beta), np.eye(mult))
+            off += n
         return out
 
+    def unitary(self, alpha: float, beta: float, gamma: float) -> np.ndarray:
+        m = self.twice_m / 2
+        return np.exp(-1j * alpha * m)[:, None] * self.little_d(beta) * np.exp(-1j * gamma * m)[None, :]
+
     def generator_lz(self) -> np.ndarray:
-        parts = []
-        for tj, mult in self.blocks:
-            parts.append(np.kron(angular_momentum(HalfInteger(tj)).Lz, np.eye(mult)))
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        off = 0
-        for p in parts:
-            d = p.shape[0]
-            out[off:off + d, off:off + d] = p
-            off += d
-        return out
+        return np.diag(self.twice_m / 2).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -262,11 +262,15 @@ class DecomposedRep:
     def max_twice_j(self) -> int:
         return max(tj for tj, _ in self.components)
 
+    def block_form(self) -> tuple:
+        """(W, B) with U(g) = W B(g) W^dag: W stacks the isometries as columns and
+        the block rep B has one multiplicity-1 block per isometry."""
+        w = np.hstack([v for _, v in self.components])
+        return w, SU2Representation(tuple((tj, 1) for tj, _ in self.components))
+
     def unitary(self, alpha: float, beta: float, gamma: float) -> np.ndarray:
-        u = np.zeros((self.dim, self.dim), dtype=complex)
-        for tj, v in self.components:
-            u += v @ wigner_D(HalfInteger(tj), alpha, beta, gamma) @ v.conj().T
-        return u
+        w, block = self.block_form()
+        return w @ block.unitary(alpha, beta, gamma) @ w.conj().T
 
     def conjugate(self) -> "DecomposedRep":
         comps = []
@@ -324,12 +328,18 @@ def _rows(labels: tuple, *prefix) -> slice:
                  bisect_left(labels, prefix[:-1] + (prefix[-1] + 1,)))
 
 
+def _operator(x, shape: tuple) -> np.ndarray:
+    """x as a complex operator, or batch of operators, of the given shape."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim not in (2, 3) or x.shape[-2:] != shape:
+        raise ValueError(f"operator shape {x.shape} does not match basis shape {shape}")
+    return x
+
+
 def _overlaps(rows: np.ndarray, x) -> np.ndarray:
     """tr(rows[k]^dag x) for an operator x, or an (n, b) array for a batch (b, ., .);
     conjugating the product instead of the rows keeps them from being copied."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim not in (2, 3) or x.shape[-2:] != rows.shape[1:]:
-        raise ValueError(f"operator shape {x.shape} does not match basis shape {rows.shape[1:]}")
+    x = _operator(x, rows.shape[1:])
     flat = x.reshape(-1) if x.ndim == 2 else x.reshape(len(x), -1).T
     return (rows.reshape(len(rows), len(flat)) @ flat.conj()).conj()
 
@@ -350,7 +360,8 @@ class TensorOperatorBasis:
 
     The operators are held once: row k of stack (n, dim_left, dim_right) is
     the operator labelled labels[k], and ops holds views of these rows.  labels
-    is sorted, so each mode (twice_mu, twice_m) is one contiguous slice of rows.
+    is sorted, so each mode (twice_mu, twice_m) is one contiguous slice of rows,
+    and modes lists the modes in that order.
     Projections go through coefficients(x) = stack.reshape(n, -1).conj() @ vec(x).
     stack is read-only, so no caller can change a cached basis.
     """
@@ -362,6 +373,7 @@ class TensorOperatorBasis:
     rep: SU2Representation | None = None
     stack: np.ndarray | None = field(default=None, repr=False, compare=False)
     labels: tuple = field(init=False, repr=False, compare=False)
+    modes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(sorted(self.ops))
@@ -373,6 +385,7 @@ class TensorOperatorBasis:
             object.__setattr__(self, "stack", stack)
         self.stack.flags.writeable = False
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "modes", tuple(dict.fromkeys(label[:2] for label in labels)))
         object.__setattr__(self, "ops", dict(zip(labels, self.stack)))
 
     @property
@@ -401,15 +414,21 @@ class TensorOperatorBasis:
         rows = self.stack[_rows(self.labels, _twice(mu), _twice(m))]
         return _expand(_overlaps(rows, x), rows)
 
-    def components(self, x) -> dict:
-        """All mode components {(twice_mu, twice_m): matrix} of x, in labels order."""
+    def mode_stack(self, x) -> np.ndarray:
+        """Every mode component of x as one (len(modes), dim_left, dim_right) array,
+        row i holding mode modes[i]."""
         c = self.coefficients(_as_matrix(x))
         flat = self.stack.reshape(len(c), self.dim_left * self.dim_right)
-        out = {}
-        for mode in dict.fromkeys(label[:2] for label in self.labels):
+        out = np.empty((len(self.modes), self.dim_left, self.dim_right), dtype=complex)
+        for row, mode in zip(out, self.modes):
             s = _rows(self.labels, *mode)
-            out[mode] = (c[s] @ flat[s]).reshape(self.dim_left, self.dim_right)
+            row[...] = (c[s] @ flat[s]).reshape(self.dim_left, self.dim_right)
         return out
+
+    def components(self, x) -> dict:
+        """All mode components {(twice_mu, twice_m): matrix} of x, in labels order;
+        the matrices are row views of mode_stack(x)."""
+        return dict(zip(self.modes, self.mode_stack(x)))
 
     def reconstruct(self, x) -> np.ndarray:
         return _expand(self.coefficients(x), self.stack)
@@ -487,78 +506,39 @@ def _quadrature_grid(t_band: int):
     return n_ag, np.arccos(xs), ws
 
 
-def _block_little_d(rep: SU2Representation, beta: float) -> np.ndarray:
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    off = 0
-    for tj, mult in rep.blocks:
-        d = np.kron(wigner_d(HalfInteger(tj), beta), np.eye(mult))
-        n = d.shape[0]
-        out[off:off + n, off:off + n] = d
-        off += n
-    return out
-
-
 def quadrature_mode_components(xs, rep, modes) -> dict:
     """Group-average oracle: (mu,m) components d_mu int dg conj(u^mu_mm) U X U^dag
     for a batch of operators, in one pass over the quadrature grid (uniform
     alpha,gamma on [0,4pi), Gauss-Legendre in cos beta; exact by band limitation).
+    U = W B W^dag, so the average runs on W^dag X W in the block form B, where
+    B(a,b,g) = e^{-ia m} * d(b) * e^{-ig m} elementwise.
 
     xs: array (n, d, d); modes: iterable of (twice_mu, twice_m).
     Returns {(tmu, tm): array (n, d, d)}.
     """
     xs = np.asarray(xs, dtype=complex)
     single = xs.ndim == 2
-    if single:
-        xs = xs[None]
     modes = [(int(a), int(b)) for a, b in modes]
-    mus = sorted({tmu for tmu, _ in modes})
-    if isinstance(rep, SU2Representation):
-        tjmax = rep.max_twice_j
-        mvals = np.real(np.diag(rep.generator_lz()))
-        dbeta = lambda b: _block_little_d(rep, b)  # noqa: E731
-        dec = None
-    else:
-        dec = rep
-        tjmax = dec.max_twice_j
-        mvals = None
-    t_band = 2 * tjmax + max(tmu for tmu, _ in modes)
+    w, block = decompose(rep).block_form()
+    ys = w.conj().T @ (xs[None] if single else xs) @ w
+    t_band = 2 * block.max_twice_j + max(tmu for tmu, _ in modes)
     n_ag, betas, wbetas = _quadrature_grid(t_band)
     angles = 4 * np.pi * np.arange(n_ag) / n_ag
-    out = {mode: np.zeros_like(xs) for mode in modes}
-
-    if mvals is not None:
-        # block-form fast path: U(a,b,g) = e^{-ia m} * d(b) * e^{-ig m} elementwise
-        ph = np.exp(-1j * np.outer(angles, mvals))            # (n_ag, d)
-        pair = (ph[:, None, :, None] * ph[None, :, None, :]).reshape(n_ag * n_ag, len(mvals), len(mvals))
-        mode_phase = {}
-        for tmu, tm in modes:
-            mm = tm / 2
-            pm = np.exp(1j * mm * angles)
-            mode_phase[(tmu, tm)] = (pm[:, None] * pm[None, :]).reshape(-1)   # conj(e^{-i(a+g)m})
-        for bb, wb in zip(betas, wbetas):
-            db = dbeta(bb)
-            ub = pair * db[None, :, :]                         # (G, d, d)
-            rotated = np.einsum("gab,nbc,gdc->gnad", ub, xs, ub.conj(), optimize=True)
-            dmu_b = {tmu: wigner_d(HalfInteger(tmu), bb) for tmu in mus}
-            for tmu, tm in modes:
-                im = (tmu - tm) // 2
-                w = wb * mode_phase[(tmu, tm)] * np.conj(dmu_b[tmu][im, im])
-                out[(tmu, tm)] += np.einsum("g,gnad->nad", w, rotated)
-    else:
-        for aa in angles:
-            for gg in angles:
-                for bb, wb in zip(betas, wbetas):
-                    u = dec.unitary(aa, bb, gg)
-                    rotated = np.einsum("ab,nbc,dc->nad", u, xs, u.conj())
-                    for (tmu, tm) in modes:
-                        im = (tmu - tm) // 2
-                        val = wigner_D(HalfInteger(tmu), aa, bb, gg)[im, im]
-                        out[(tmu, tm)] += (wb * np.conj(val)) * rotated
-    for (tmu, tm) in modes:
-        out[(tmu, tm)] *= (tmu + 1) / (2 * n_ag * n_ag)
-    if single:
-        out = {mode: v[0] for mode, v in out.items()}
-    return out
+    ph = np.exp(-1j * np.outer(angles, block.twice_m / 2))       # (n_ag, d)
+    pair = (ph[:, None, :, None] * ph[None, :, None, :]).reshape(n_ag * n_ag, block.dim, block.dim)
+    pm = np.exp(1j * np.outer([tm / 2 for _, tm in modes], angles))
+    mode_phase = (pm[:, :, None] * pm[:, None, :]).reshape(len(modes), -1)   # conj(e^{-i(a+g)m})
+    out = np.zeros((len(modes),) + ys.shape, dtype=complex)
+    for bb, wb in zip(betas, wbetas):
+        ub = pair * block.little_d(bb)[None, :, :]                     # (G, d, d)
+        rotated = np.einsum("gab,nbc,gdc->gnad", ub, ys, ub.conj(), optimize=True)
+        dmu_b = {tmu: wigner_d(HalfInteger(tmu), bb) for tmu in {tmu for tmu, _ in modes}}
+        diag = np.array([dmu_b[tmu][(tmu - tm) // 2, (tmu - tm) // 2] for tmu, tm in modes])
+        weights = wb * mode_phase * np.conj(diag)[:, None]                 # (modes, G)
+        out += (weights @ rotated.reshape(len(rotated), -1)).reshape(out.shape)
+    scale = np.array([(tmu + 1) / (2 * n_ag * n_ag) for tmu, _ in modes])
+    out = w @ (scale[:, None, None, None] * out) @ w.conj().T
+    return {mode: v[0] if single else v for mode, v in zip(modes, out)}
 
 
 def so3_mode_project_quadrature(x, rep, mu, m) -> np.ndarray:
@@ -601,23 +581,17 @@ def axial_twirl(rho, j, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
 
 def covariance_residual(basis: TensorOperatorBasis, left, right, angles) -> float:
     """Max |U_L T_m U_R^dag - sum_m' D^mu_{m'm} T_m'| over the basis and the
-    supplied Euler triples."""
-    left = decompose(left)
-    right = decompose(right)
-    multiplets: dict = {}
-    for (tmu, tm, a), t in basis.ops.items():
-        multiplets.setdefault((tmu, a), {})[tm] = t
-    stacks = {}
-    for (tmu, a), comp in multiplets.items():
-        stacks[(tmu, a)] = np.stack([comp[tmu - 2 * i] for i in range(tmu + 1)])
+    supplied Euler triples.  A rank's rows run over (m ascending, alpha), while D
+    runs over m = mu..-mu, so D's m axes are reversed to match the rows."""
+    ranks = [(tmu, _rows(basis.labels, tmu)) for tmu in basis.ranks()]
     worst = 0.0
     for aa, bb, gg in np.atleast_2d(angles):
-        ul = left.unitary(aa, bb, gg)
-        ur = right.unitary(aa, bb, gg)
-        for (tmu, a), ts in stacks.items():
-            rotated = np.einsum("ab,pbc,dc->pad", ul, ts, ur.conj())
-            predicted = np.einsum("pm,pij->mij", wigner_D(HalfInteger(tmu), aa, bb, gg), ts)
-            worst = max(worst, float(np.abs(rotated - predicted).max()))
+        rotated = left.unitary(aa, bb, gg) @ basis.stack @ right.unitary(aa, bb, gg).conj().T
+        for tmu, rows in ranks:
+            shape = (tmu + 1, -1) + basis.stack.shape[1:]
+            d_ascending = wigner_D(HalfInteger(tmu), aa, bb, gg)[::-1, ::-1]
+            predicted = np.tensordot(d_ascending, basis.stack[rows].reshape(shape), axes=(0, 0))
+            worst = max(worst, float(np.abs(rotated[rows].reshape(shape) - predicted).max()))
     return worst
 
 

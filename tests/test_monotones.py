@@ -324,6 +324,8 @@ def test_table_max_rank_keeps_the_lower_ranks():
     for max_rank in (0, 0.5, 1, 2.5):
         capped = mode_monotone_table(rho, rep, max_rank=max_rank).entries
         assert capped == {mode: v for mode, v in full.items() if mode[0] <= 2 * max_rank}
-    for bad in (np.eye(rep.dim - 1), np.eye(rep.dim)[:, :-1], np.ones(rep.dim)):
-        with pytest.raises(ValueError):
+    for bad in (np.eye(rep.dim - 1), np.eye(rep.dim)[:, :-1]):
+        with pytest.raises(ValueError, match="does not match"):
             mode_monotone_table(bad, rep)
+    with pytest.raises(ValueError):
+        mode_monotone_table(np.ones(rep.dim), rep)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from asymmodes import (
+    DecomposedRep,
     HalfInteger,
     SU2Representation,
     angular_momentum,
@@ -22,7 +23,13 @@ from asymmodes import (
     wigner_D,
     wigner_d,
 )
-from asymmodes.su2 import TensorOperatorBasis, _quadrature_grid
+from asymmodes.su2 import (
+    TensorOperatorBasis,
+    _quadrature_grid,
+    decompose,
+    quadrature_mode_components,
+    tensor_basis_for,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +321,51 @@ def test_general_basis_reducible_covariance(blocks):
     assert len(basis.ops) == rep.dim ** 2
 
 
+@pytest.mark.parametrize("blocks", [((1, 2), (3, 1)), ((4, 2), (3, 1), (2, 1), (0, 2))])
+def test_block_rep_keeps_the_block_layout(blocks):
+    """unitary and generator_lz are block diagonals of D^j x I_mult and Lz x I_mult."""
+    rep = SU2Representation(blocks)
+
+    def block_diagonal(parts):
+        out = np.zeros((rep.dim, rep.dim), dtype=complex)
+        off = 0
+        for (tj, mult), part in zip(blocks, parts):
+            n = (tj + 1) * mult
+            out[off:off + n, off:off + n] = np.kron(part, np.eye(mult))
+            off += n
+        return out
+
+    for a, b, g in haar_angles(np.random.default_rng(39), 4):
+        want = block_diagonal([wigner_D(tj / 2, a, b, g) for tj, _ in blocks])
+        assert np.array_equal(rep.unitary(a, b, g), want)
+    lz = block_diagonal([angular_momentum(tj / 2).Lz for tj, _ in blocks])
+    assert np.array_equal(rep.generator_lz(), lz)
+
+
+def _rotated_isometries(dec, rng):
+    u, _ = np.linalg.qr(rng.normal(size=(dec.dim, dec.dim)) + 1j * rng.normal(size=(dec.dim, dec.dim)))
+    return DecomposedRep(dec.dim, tuple((tj, u @ v) for tj, v in dec.components))
+
+
+@pytest.mark.parametrize("make_rep", [
+    lambda rng: decompose(SU2Representation.spin(0.5)).tensor(decompose(SU2Representation.spin(1))),
+    lambda rng: _rotated_isometries(decompose(SU2Representation(((1, 1), (2, 1)))), rng),
+], ids=["half-x-one", "rotated-1x1.2x1"])
+def test_decomposed_rep_oracle_covariance_and_unitary(make_rep):
+    rng = np.random.default_rng(40)
+    rep = make_rep(rng)
+    for a, b, g in haar_angles(rng, 4):
+        want = sum(v @ wigner_D(tj / 2, a, b, g) @ v.conj().T for tj, v in rep.components)
+        assert np.abs(rep.unitary(a, b, g) - want).max() < 1e-13
+    basis = tensor_basis_for(rep)
+    assert covariance_residual(basis, rep, rep, haar_angles(rng, 10)) < 1e-10
+    xs = rng.normal(size=(3, rep.dim, rep.dim)) + 1j * rng.normal(size=(3, rep.dim, rep.dim))
+    quad = quadrature_mode_components(xs, rep, basis.modes)
+    for tmu, tm in basis.modes:
+        for x, q in zip(xs, quad[(tmu, tm)]):
+            assert np.abs(basis.component(x, tmu / 2, tm / 2) - q).max() < 1e-10
+
+
 def test_mode_project_examples():
     rep = SU2Representation.spin(1)
     eye = np.eye(3, dtype=complex)
@@ -408,6 +460,9 @@ def test_projection_kernel_matches_per_operator_loop(make_basis):
     assert np.abs(batch - np.column_stack([expected_coeffs, 2j * expected_coeffs])).max() < 1e-12
     comps = basis.components(x)
     assert list(comps) == sorted(expected)
+    stacked = next(iter(comps.values())).base   # the components are rows of one array
+    assert stacked.shape == (len(comps),) + shape
+    assert all(np.shares_memory(c, stacked) for c in comps.values())
     for (tmu, tm), ref in expected.items():
         assert np.abs(comps[(tmu, tm)] - ref).max() < 1e-12
         assert np.abs(basis.component(x, tmu / 2, tm / 2) - ref).max() < 1e-12
