@@ -12,6 +12,7 @@ tensor-basis components in that action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,22 +51,20 @@ def _liouville_rep(rep) -> DecomposedRep:
     return dec.tensor(dec.conjugate())
 
 
-_superop_basis_cache: dict = {}
-
-
 def superop_tensor_basis(in_rep, out_rep, ranks=None) -> TensorOperatorBasis:
     """Covariant basis of the space of superoperators B(H_in) -> B(H_out),
-    optionally restricted to the given twice-mu ranks."""
-    key = None
+    optionally restricted to the given twice-mu ranks.  Bases between block-form
+    representations are cached (the last 32)."""
+    ranks = None if ranks is None else tuple(sorted(ranks))
     if isinstance(in_rep, SU2Representation) and isinstance(out_rep, SU2Representation):
-        key = (in_rep, out_rep, None if ranks is None else tuple(sorted(ranks)))
-        if key in _superop_basis_cache:
-            return _superop_basis_cache[key]
-    basis = _tensor_ops_between(_liouville_rep(out_rep), _liouville_rep(in_rep),
-                                ranks=None if ranks is None else set(ranks))
-    if key is not None:
-        _superop_basis_cache[key] = basis
-    return basis
+        return _superop_basis(in_rep, out_rep, ranks)
+    return _superop_basis.__wrapped__(in_rep, out_rep, ranks)
+
+
+@lru_cache(maxsize=32)
+def _superop_basis(in_rep, out_rep, ranks: tuple | None) -> TensorOperatorBasis:
+    return _tensor_ops_between(_liouville_rep(out_rep), _liouville_rep(in_rep),
+                               ranks=None if ranks is None else set(ranks))
 
 
 def superop_twirl_basis(in_rep, out_rep) -> TensorOperatorBasis:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,12 +44,12 @@ class ModeMonotoneTable:
 def mode_monotone_table(rho, rep, max_rank=None) -> ModeMonotoneTable:
     """||rho^(mu,m)||_1 of every mode from one sector_trace_norms call: in the
     block form Lz is diagonal, and the (mu,m) component maps Lz sector M to M + m.
-    Modes sort by rank, so max_rank keeps a prefix of them."""
+    Labels sort by rank, so max_rank projects only a prefix of the rows."""
     w, block = decompose(rep).block_form()
     frame = tensor_basis_for(block)
     rho = _operator(_as_matrix(rho), w.shape)
-    n = len(frame.modes) if max_rank is None else bisect_left(frame.modes, (_twice(max_rank) + 1,))
-    norms = sector_trace_norms(frame.mode_stack(w.conj().T @ rho @ w)[:n], block.twice_m)
+    rows = None if max_rank is None else bisect_left(frame.labels, (_twice(max_rank) + 1,))
+    norms = sector_trace_norms(frame.mode_stack(w.conj().T @ rho @ w, rows), block.twice_m)
     return ModeMonotoneTable({mode: float(row[mode[1] + len(row) // 2])
                               for mode, row in zip(frame.modes, norms)})
 
@@ -131,11 +132,16 @@ class PsuccResult:
         return self.formula
 
 
+@lru_cache(maxsize=32)
+def _half_coupled(tj: int):
+    """Spin-1/2 x spin-j as irrep isometries, coupled by Clebsch-Gordan coefficients."""
+    return decompose(SU2Representation.spin(0.5)).tensor(decompose(SU2Representation.spin(tj / 2)))
+
+
 def _psucc_twirl_oracle(rho, j) -> float:
     """Helstrom value over invariant measurements: 1/2 + (1/4)||G(up x rho) -
     G(down x rho)||_1 with G the exact twirl on spin-1/2 x spin-j."""
-    dec = decompose(SU2Representation.spin(HalfInteger(1))).tensor(
-        decompose(SU2Representation.spin(j)))
+    dec = _half_coupled(_twice(j))
     up = np.diag([1.0, 0.0]).astype(complex)
     down = np.diag([0.0, 1.0]).astype(complex)
     rho = _as_matrix(rho)

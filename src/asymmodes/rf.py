@@ -57,36 +57,36 @@ class Trajectory:
         return np.array([s.tensor_expectations[key] for s in self.steps])
 
 
-def _expectations(rho, basis) -> dict:
-    return {(tmu, tm): complex(c) for (tmu, tm, _), c in zip(basis.labels, basis.coefficients(rho))}
+def _trajectory(tj: int, basis, expectations: np.ndarray, lz_means, lz2_means) -> Trajectory:
+    """Step k from column k of the (labels x steps) expectations and the k-th means."""
+    keys = [(tmu, tm) for tmu, tm, _ in basis.labels]
+    columns = zip(expectations.T.tolist(), lz_means.tolist(), lz2_means.tolist())
+    return Trajectory(tj, tuple(TrajectoryStep(k, dict(zip(keys, column)), lz, lz2)
+                                for k, (column, lz, lz2) in enumerate(columns)))
 
 
 def degrade_trajectory(rho0, model: DegradationModel, steps: int) -> Trajectory:
-    """Closed-form trajectory of tensor expectations over `steps` uses."""
+    """Closed-form trajectory of tensor expectations over `steps` uses; row mu of
+    the power table holds (c^(mu))^k for k = 0..steps."""
     rho0 = _as_matrix(rho0)
     tj = model.twice_j
     j = tj / 2
-    basis = tensor_basis_spin_j(tj / 2)
-    lz = angular_momentum(tj / 2).Lz
-    e0 = _expectations(rho0, basis)
+    basis = tensor_basis_spin_j(j)
+    lz = angular_momentum(j).Lz
+    powers = np.array([[model.coefficient(mu) ** k for k in range(steps + 1)]
+                       for mu in range(max(tj, 2) + 1)])
+    table = powers[[tmu // 2 for tmu, _, _ in basis.labels]] * basis.coefficients(rho0)[:, None]
     lz_mean0 = float(np.real(np.trace(lz @ rho0)))
     lz2_mean0 = float(np.real(np.trace(lz @ lz @ rho0)))
     saturation = j * (j + 1) / 3
-    records = []
-    for k in range(steps + 1):
-        ek = {(tmu, tm): (model.coefficient(tmu // 2) ** k) * v for (tmu, tm), v in e0.items()}
-        c1, c2 = model.coefficient(1), model.coefficient(2)
-        records.append(TrajectoryStep(
-            k, ek,
-            (c1 ** k) * lz_mean0,
-            (c2 ** k) * lz2_mean0 + (1 - c2 ** k) * saturation,
-        ))
-    return Trajectory(tj, tuple(records))
+    return _trajectory(tj, basis, table, powers[1] * lz_mean0,
+                       powers[2] * lz2_mean0 + (1 - powers[2]) * saturation)
 
 
 def degrade_via_channel(rho0, channel: Superoperator, steps: int, tol: float = 1e-8) -> Trajectory:
     """Trajectory from explicit channel iteration; the channel must be a
-    covariant spin-j -> spin-j map (checked)."""
+    covariant spin-j -> spin-j map (checked).  The expectations of all iterated
+    states come from one batched projection."""
     rho0 = _as_matrix(rho0)
     d = rho0.shape[0]
     if channel.in_dim != d or channel.out_dim != d:
@@ -96,18 +96,15 @@ def degrade_via_channel(rho0, channel: Superoperator, steps: int, tol: float = 1
     residual = superop_covariance_residual(channel, rep, rep)
     if residual > tol:
         raise ValueError(f"channel is not covariant: residual {residual:.3e} > {tol:.1e}")
-    basis = tensor_basis_spin_j(tj / 2)
     lz = angular_momentum(tj / 2).Lz
-    records = []
-    rho = rho0
-    for k in range(steps + 1):
-        records.append(TrajectoryStep(
-            k, _expectations(rho, basis),
-            float(np.real(np.trace(lz @ rho))),
-            float(np.real(np.trace(lz @ lz @ rho))),
-        ))
-        rho = apply_superop(channel, rho)
-    return Trajectory(tj, tuple(records))
+    states = [rho0]
+    for _ in range(steps):
+        states.append(apply_superop(channel, states[-1]))
+    states = np.array(states)
+    basis = tensor_basis_spin_j(tj / 2)
+    return _trajectory(tj, basis, basis.coefficients(states),
+                       np.real(np.trace(lz @ states, axis1=1, axis2=2)),
+                       np.real(np.trace(lz @ lz @ states, axis1=1, axis2=2)))
 
 
 def misalignment_state(rho, rep: U1Representation, weights: FourierWeights) -> np.ndarray:

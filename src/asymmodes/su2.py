@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,6 +62,12 @@ def _twice(x) -> int:
     return HalfInteger.coerce(x).twice
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, locked against writes, as every cached array is."""
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 # angular momentum operators
 # ---------------------------------------------------------------------------
@@ -87,7 +93,7 @@ class AngularMomentumOps:
         return self.j.twice + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _angular_momentum(tj: int) -> AngularMomentumOps:
     j = tj / 2
     dim = tj + 1
@@ -97,7 +103,7 @@ def _angular_momentum(tj: int) -> AngularMomentumOps:
     for i in range(1, dim):
         lp[i - 1, i] = math.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
     l2 = j * (j + 1) * np.eye(dim, dtype=complex)
-    return AngularMomentumOps(HalfInteger(tj), lz, lp, lp.conj().T, l2)
+    return AngularMomentumOps(HalfInteger(tj), *map(_read_only, (lz, lp, lp.conj().T, l2)))
 
 
 def angular_momentum(j) -> AngularMomentumOps:
@@ -157,10 +163,9 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
 # Wigner rotation matrices
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _ly_eig(tj: int):
-    ops = _angular_momentum(tj)
-    return np.linalg.eigh(ops.Ly)
+    return tuple(map(_read_only, np.linalg.eigh(_angular_momentum(tj).Ly)))
 
 
 def wigner_d(j, beta: float) -> np.ndarray:
@@ -227,11 +232,11 @@ class SU2Representation:
     def max_twice_j(self) -> int:
         return max(tj for tj, _ in self.blocks)
 
-    @property
+    @cached_property
     def twice_m(self) -> np.ndarray:
         """Twice the Lz eigenvalue of each basis vector: block (j, mult) runs
         m = j..-j, each m repeated mult times."""
-        return np.concatenate([np.repeat(np.arange(tj, -tj - 1, -2), mult) for tj, mult in self.blocks])
+        return _read_only(np.concatenate([np.repeat(np.arange(tj, -tj - 1, -2), m) for tj, m in self.blocks]))
 
     def little_d(self, beta: float) -> np.ndarray:
         """The block diagonal of d^j(beta) x I_mult; the one assembler of the block layout."""
@@ -264,8 +269,13 @@ class DecomposedRep:
 
     def block_form(self) -> tuple:
         """(W, B) with U(g) = W B(g) W^dag: W stacks the isometries as columns and
-        the block rep B has one multiplicity-1 block per isometry."""
-        w = np.hstack([v for _, v in self.components])
+        the block rep B has one multiplicity-1 block per isometry.  Built once per
+        instance; W is read-only."""
+        return self._block_form
+
+    @cached_property
+    def _block_form(self) -> tuple:
+        w = _read_only(np.hstack([v for _, v in self.components]))
         return w, SU2Representation(tuple((tj, 1) for tj, _ in self.components))
 
     def unitary(self, alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -275,11 +285,8 @@ class DecomposedRep:
     def conjugate(self) -> "DecomposedRep":
         comps = []
         for tj, v in self.components:
-            dim = tj + 1
-            y = np.zeros((dim, dim))
-            for idx in range(dim):
-                y[dim - 1 - idx, idx] = (-1.0) ** idx   # e^{-i pi Ly}
-            comps.append((tj, v.conj() @ y))
+            y = np.flipud(np.diag((-1.0) ** np.arange(tj + 1)))   # e^{-i pi Ly}
+            comps.append((tj, _read_only(v.conj() @ y)))
         return DecomposedRep(self.dim, tuple(comps))
 
     def tensor(self, other: "DecomposedRep") -> "DecomposedRep":
@@ -298,14 +305,18 @@ class DecomposedRep:
                             c = _cg_twice(tja, tma, tjb, tmb, tJ, tM)
                             if c != 0.0:
                                 w[:, iM] += c * np.kron(va[:, ia], vb[:, (tjb - tmb) // 2])
-                    comps.append((tJ, w))
+                    comps.append((tJ, _read_only(w)))
         return DecomposedRep(self.dim * other.dim, tuple(comps))
 
 
 def decompose(rep) -> DecomposedRep:
-    """Irrep isometries of a block-form representation (identity embeddings)."""
-    if isinstance(rep, DecomposedRep):
-        return rep
+    """Irrep isometries of a block-form representation (identity embeddings),
+    built once per representation; isometries of decompositions are read-only."""
+    return rep if isinstance(rep, DecomposedRep) else _decompose(rep)
+
+
+@lru_cache(maxsize=64)
+def _decompose(rep: SU2Representation) -> DecomposedRep:
     comps = []
     off = 0
     eye = np.eye(rep.dim, dtype=complex)
@@ -313,7 +324,7 @@ def decompose(rep) -> DecomposedRep:
         dimj = tj + 1
         for a in range(mult):
             cols = [off + i * mult + a for i in range(dimj)]
-            comps.append((tj, eye[:, cols]))
+            comps.append((tj, _read_only(eye[:, cols])))
         off += dimj * mult
     return DecomposedRep(rep.dim, tuple(comps))
 
@@ -361,7 +372,8 @@ class TensorOperatorBasis:
     The operators are held once: row k of stack (n, dim_left, dim_right) is
     the operator labelled labels[k], and ops holds views of these rows.  labels
     is sorted, so each mode (twice_mu, twice_m) is one contiguous slice of rows,
-    and modes lists the modes in that order.
+    modes lists the modes in that order and mode_starts their first rows (None
+    when every mode has one row).
     Projections go through coefficients(x) = stack.reshape(n, -1).conj() @ vec(x).
     stack is read-only, so no caller can change a cached basis.
     """
@@ -374,6 +386,7 @@ class TensorOperatorBasis:
     stack: np.ndarray | None = field(default=None, repr=False, compare=False)
     labels: tuple = field(init=False, repr=False, compare=False)
     modes: tuple = field(init=False, repr=False, compare=False)
+    mode_starts: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(sorted(self.ops))
@@ -386,6 +399,8 @@ class TensorOperatorBasis:
         self.stack.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "modes", tuple(dict.fromkeys(label[:2] for label in labels)))
+        starts = np.array([bisect_left(labels, mode) for mode in self.modes])
+        object.__setattr__(self, "mode_starts", None if len(starts) == len(labels) else _read_only(starts))
         object.__setattr__(self, "ops", dict(zip(labels, self.stack)))
 
     @property
@@ -414,16 +429,16 @@ class TensorOperatorBasis:
         rows = self.stack[_rows(self.labels, _twice(mu), _twice(m))]
         return _expand(_overlaps(rows, x), rows)
 
-    def mode_stack(self, x) -> np.ndarray:
+    def mode_stack(self, x, rows: int | None = None) -> np.ndarray:
         """Every mode component of x as one (len(modes), dim_left, dim_right) array,
-        row i holding mode modes[i]."""
-        c = self.coefficients(_as_matrix(x))
-        flat = self.stack.reshape(len(c), self.dim_left * self.dim_right)
-        out = np.empty((len(self.modes), self.dim_left, self.dim_right), dtype=complex)
-        for row, mode in zip(out, self.modes):
-            s = _rows(self.labels, *mode)
-            row[...] = (c[s] @ flat[s]).reshape(self.dim_left, self.dim_right)
-        return out
+        row i holding mode modes[i].  Given rows, a row count at a mode boundary,
+        only the modes of the first rows labels are projected.  A basis whose modes
+        have one row each sums nothing, so it allocates no second d^4 array."""
+        stack = self.stack[:rows]
+        out = _overlaps(stack, _as_matrix(x))[:, None, None] * stack
+        if self.mode_starts is None or not len(out):
+            return out
+        return np.add.reduceat(out, self.mode_starts[self.mode_starts < len(out)], axis=0)
 
     def components(self, x) -> dict:
         """All mode components {(twice_mu, twice_m): matrix} of x, in labels order;
@@ -464,16 +479,13 @@ def _tensor_ops_between(left: DecomposedRep, right: DecomposedRep,
                                stack=stack)
 
 
-_basis_cache: dict = {}
-
-
+@lru_cache(maxsize=32)
 def tensor_basis_general(rep: SU2Representation) -> TensorOperatorBasis:
     """Orthonormal irreducible tensor operator basis spanning B(H) for a
-    block-form representation; alpha runs over irrep-copy pairs."""
-    if rep not in _basis_cache:
-        dec = decompose(rep)
-        _basis_cache[rep] = replace(_tensor_ops_between(dec, dec), rep=rep)
-    return _basis_cache[rep]
+    block-form representation; alpha runs over irrep-copy pairs.  The last 32
+    bases are kept (cache_info() counts the hits)."""
+    dec = decompose(rep)
+    return replace(_tensor_ops_between(dec, dec), rep=rep)
 
 
 def tensor_basis_spin_j(j) -> TensorOperatorBasis:
@@ -506,12 +518,16 @@ def _quadrature_grid(t_band: int):
     return n_ag, np.arccos(xs), ws
 
 
+_QUADRATURE_CHUNK_ENTRIES = 2**18   # rotated-grid entries (points x operators x d^2) held at once
+
+
 def quadrature_mode_components(xs, rep, modes) -> dict:
     """Group-average oracle: (mu,m) components d_mu int dg conj(u^mu_mm) U X U^dag
     for a batch of operators, in one pass over the quadrature grid (uniform
     alpha,gamma on [0,4pi), Gauss-Legendre in cos beta; exact by band limitation).
     U = W B W^dag, so the average runs on W^dag X W in the block form B, where
-    B(a,b,g) = e^{-ia m} * d(b) * e^{-ig m} elementwise.
+    B(a,b,g) = e^{-ia m} * d(b) * e^{-ig m} elementwise.  The batch is rotated in
+    chunks of about _QUADRATURE_CHUNK_ENTRIES grid entries.
 
     xs: array (n, d, d); modes: iterable of (twice_mu, twice_m).
     Returns {(tmu, tm): array (n, d, d)}.
@@ -529,13 +545,15 @@ def quadrature_mode_components(xs, rep, modes) -> dict:
     pm = np.exp(1j * np.outer([tm / 2 for _, tm in modes], angles))
     mode_phase = (pm[:, :, None] * pm[:, None, :]).reshape(len(modes), -1)   # conj(e^{-i(a+g)m})
     out = np.zeros((len(modes),) + ys.shape, dtype=complex)
+    step = max(1, _QUADRATURE_CHUNK_ENTRIES // pair.size)
     for bb, wb in zip(betas, wbetas):
         ub = pair * block.little_d(bb)[None, :, :]                     # (G, d, d)
-        rotated = np.einsum("gab,nbc,gdc->gnad", ub, ys, ub.conj(), optimize=True)
         dmu_b = {tmu: wigner_d(HalfInteger(tmu), bb) for tmu in {tmu for tmu, _ in modes}}
         diag = np.array([dmu_b[tmu][(tmu - tm) // 2, (tmu - tm) // 2] for tmu, tm in modes])
         weights = wb * mode_phase * np.conj(diag)[:, None]                 # (modes, G)
-        out += (weights @ rotated.reshape(len(rotated), -1)).reshape(out.shape)
+        for lo in range(0, len(ys), step):
+            rotated = np.einsum("gab,nbc,gdc->gnad", ub, ys[lo:lo + step], ub.conj(), optimize=True)
+            out[:, lo:lo + step] += np.tensordot(weights, rotated, axes=1)
     scale = np.array([(tmu + 1) / (2 * n_ag * n_ag) for tmu, _ in modes])
     out = w @ (scale[:, None, None, None] * out) @ w.conj().T
     return {mode: v[0] if single else v for mode, v in zip(modes, out)}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import asymmodes.monotones as monotones_module
 from asymmodes import (
     DecomposedRep,
     SU2Representation,
@@ -202,6 +203,26 @@ def test_psucc_examples():
     top = np.zeros((dim, dim), dtype=complex)
     top[0, 0] = 1.0
     assert distinguish_success_probability(top, 20).formula >= 0.987
+
+
+def test_psucc_oracle_coupling_is_read_only():
+    coupled = monotones_module._half_coupled(5)
+    assert monotones_module._half_coupled(5) is coupled
+    assert [tj for tj, _ in coupled.components] == [4, 6]
+    for _, v in coupled.components:
+        with pytest.raises(ValueError):
+            v[...] = 0
+
+
+def test_psucc_oracle_same_on_cache_miss_and_hit():
+    rng = np.random.default_rng(11)
+    for j in (0.5, 1.5, 3):
+        rho = random_density_matrix(int(2 * j) + 1, rng)
+        monotones_module._half_coupled.cache_clear()
+        miss = distinguish_success_probability(rho, j, oracle=True)
+        hit = distinguish_success_probability(rho, j, oracle=True)
+        assert monotones_module._half_coupled.cache_info().hits == 1
+        assert hit == miss
 
 
 @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2])

@@ -85,6 +85,42 @@ def test_degrade_via_channel_matches_closed_form():
         assert a.lz2_mean == pytest.approx(b.lz2_mean, abs=1e-9)
 
 
+def test_closed_trajectory_matches_per_step_loop():
+    rng = np.random.default_rng(5)
+    rho0 = random_density_matrix(5, rng)
+    model = DegradationModel(4, {1: 0.9, 2: -0.55, 3: 0.3, 4: 0.7})
+    traj = degrade_trajectory(rho0, model, 9)
+    basis = tensor_basis_general(SU2Representation.spin(2))
+    e0 = {(tmu, tm): complex(c) for (tmu, tm, _), c in zip(basis.labels, basis.coefficients(rho0))}
+    lz = angular_momentum(2).Lz
+    lz_mean0, lz2_mean0 = np.trace(lz @ rho0).real, np.trace(lz @ lz @ rho0).real
+    assert [step.k for step in traj.steps] == list(range(10))
+    for k, step in enumerate(traj.steps):   # the same arithmetic, one step at a time
+        assert step.tensor_expectations == {key: model.coefficient(key[0] // 2) ** k * v
+                                            for key, v in e0.items()}
+        assert step.lz_mean == 0.9 ** k * lz_mean0
+        assert step.lz2_mean == (-0.55) ** k * lz2_mean0 + (1 - (-0.55) ** k) * 2
+        assert type(step.lz_mean) is float
+
+
+@pytest.mark.parametrize("j", [1.5, 3])
+def test_batched_degrade_via_channel_matches_closed_form(j):
+    rng = np.random.default_rng(6)
+    rep = SU2Representation.spin(j)
+    chan = random_covariant_channel(rep, rep, rng)
+    rho0 = random_density_matrix(rep.dim, rng)
+    closed = degrade_trajectory(rho0, DegradationModel(rep.dim - 1, coefficients_of(chan, rep)), 12)
+    iterated = degrade_via_channel(rho0, chan, 12)
+    assert [step.k for step in iterated.steps] == list(range(13))
+    for a, b in zip(closed.steps, iterated.steps):
+        assert list(a.tensor_expectations) == list(b.tensor_expectations)
+        assert all(type(v) is complex for v in b.tensor_expectations.values())
+        assert max(abs(v - b.tensor_expectations[key]) for key, v in a.tensor_expectations.items()) < 1e-12
+        assert abs(a.lz_mean - b.lz_mean) < 1e-12
+        assert abs(a.lz2_mean - b.lz2_mean) < 1e-12
+        assert type(b.lz_mean) is float and type(b.lz2_mean) is float
+
+
 def test_degrade_via_channel_twirl_and_identity():
     rng = np.random.default_rng(3)
     rep = SU2Representation.spin(1)

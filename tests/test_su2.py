@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import asymmodes.su2 as su2_module
 from asymmodes import (
     DecomposedRep,
     HalfInteger,
@@ -26,6 +27,7 @@ from asymmodes import (
 from asymmodes.su2 import (
     TensorOperatorBasis,
     _quadrature_grid,
+    _rows,
     decompose,
     quadrature_mode_components,
     tensor_basis_for,
@@ -493,6 +495,65 @@ def test_cached_bases_are_read_only():
         assert not any(view.flags.writeable for view in basis.ops.values())
     assert mode_monotone_table(up, rep).entries == before
     assert before[(2, 0)] == pytest.approx(1.0)
+
+
+def test_cached_decompositions_are_read_only():
+    rep = SU2Representation(((1, 2), (2, 1)))
+    dec = decompose(rep)
+    assert decompose(SU2Representation(((1, 2), (2, 1)))) is dec
+    w, block = dec.block_form()
+    assert dec.block_form()[0] is w
+    coupled = dec.tensor(decompose(SU2Representation.spin(1)))
+    cached = [v for _, v in dec.components] + [w, block.twice_m, rep.twice_m, angular_momentum(1).Lz]
+    for array in cached + [v for _, v in coupled.components + dec.conjugate().components]:
+        with pytest.raises(ValueError):
+            array[...] = 0
+    assert np.array_equal(w, np.eye(rep.dim)[:, [0, 2, 1, 3, 4, 5, 6]])
+
+
+def test_evicted_basis_rebuilds_bit_for_bit():
+    rep = SU2Representation(((2, 2), (1, 1)))
+    first = tensor_basis_general(rep)
+    stack = first.stack.tobytes()
+    # distinct spin-0 / spin-1/2 block sequences push rep out of the bounded cache
+    for i in range(2, 2 + tensor_basis_general.cache_info().maxsize):
+        tensor_basis_general(SU2Representation(tuple((int(bit), 1) for bit in f"{i:b}")))
+    rebuilt = tensor_basis_general(rep)
+    assert rebuilt is not first
+    assert rebuilt.labels == first.labels
+    assert rebuilt.stack.tobytes() == stack
+
+
+@pytest.mark.parametrize("blocks", [((6, 1),), ((1, 2), (3, 1)), ((4, 2), (3, 1), (2, 1), (0, 2))],
+                         ids=["spin-3", "mult-1x2.3", "d19"])
+def test_mode_stack_of_a_row_prefix(blocks):
+    basis = tensor_basis_general(SU2Representation(blocks))
+    rng = np.random.default_rng(42)
+    d = basis.dim_left
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if len(basis.modes) == len(basis.labels):
+        assert basis.mode_starts is None   # nothing to sum per mode
+    else:
+        assert [basis.labels[i][:2] for i in basis.mode_starts] == list(basis.modes)
+    full = basis.mode_stack(x)
+    assert full.shape == (len(basis.modes), d, d)
+    for tmu in basis.ranks():
+        n = sum(1 for mode in basis.modes if mode[0] <= tmu)
+        prefix = basis.mode_stack(x, _rows(basis.labels, tmu).stop)
+        assert prefix.shape == (n, d, d)
+        assert np.abs(prefix - full[:n]).max() < 1e-14
+
+
+def test_quadrature_chunks_agree_with_one_pass(monkeypatch):
+    rep = SU2Representation(((1, 2), (3, 1)))
+    rng = np.random.default_rng(43)
+    xs = rng.normal(size=(5, rep.dim, rep.dim)) + 1j * rng.normal(size=(5, rep.dim, rep.dim))
+    modes = tensor_basis_general(rep).modes
+    monkeypatch.setattr(su2_module, "_QUADRATURE_CHUNK_ENTRIES", 2**40)
+    whole = quadrature_mode_components(xs, rep, modes)
+    monkeypatch.setattr(su2_module, "_QUADRATURE_CHUNK_ENTRIES", 1)   # one operator per chunk
+    chunked = quadrature_mode_components(xs, rep, modes)
+    assert max(float(np.abs(chunked[mode] - whole[mode]).max()) for mode in modes) < 1e-14
 
 
 @pytest.mark.parametrize("j", [1, 1.5])
