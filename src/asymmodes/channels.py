@@ -21,12 +21,10 @@ from .linalg import (
     _as_matrix,
     apply_superop,
     channel_from_kraus,
-    compose_superops,
     hs_norm,
     partial_trace,
     superop_from_map,
     trace_norm,
-    unvec,
     vec,
 )
 from .su2 import (
@@ -34,7 +32,6 @@ from .su2 import (
     SU2Representation,
     TensorOperatorBasis,
     _expand,
-    _rows,
     _tensor_ops_between,
     _twice,
     decompose,
@@ -103,14 +100,10 @@ class SuperopModeSpectrum:
 
 def superop_mode_spectrum(e: Superoperator, in_rep, out_rep, tol: float = 0.0,
                           keep_components: bool = True) -> SuperopModeSpectrum:
-    basis = superop_tensor_basis(in_rep, out_rep)
-    comps, norms = {}, {}
-    for mode, mat in basis.components(e.liouville).items():
-        nrm = float(np.linalg.norm(mat))
-        if nrm > tol:
-            norms[mode] = nrm
-            if keep_components:
-                comps[mode] = Superoperator(mat, e.in_dim, e.out_dim)
+    mats = superop_tensor_basis(in_rep, out_rep).components(e.liouville)
+    norms = {mode: float(np.linalg.norm(mat)) for mode, mat in mats.items()}
+    norms = {mode: nrm for mode, nrm in norms.items() if nrm > tol}
+    comps = {mode: Superoperator(mats[mode], e.in_dim, e.out_dim) for mode in norms} if keep_components else {}
     return SuperopModeSpectrum(comps, norms)
 
 
@@ -138,19 +131,24 @@ class CovariantChannelCoefficients:
 
 def _apply_blocks(c: CovariantChannelCoefficients, coeffs: np.ndarray) -> np.ndarray:
     """Out-basis coefficients of E(x) from in-basis coefficients (one column
-    per operator): c^(mu) acts on the rows of every (mu, m)."""
-    ins, outs = c.in_basis.labels, c.out_basis.labels
-    out = np.zeros((len(outs),) + coeffs.shape[1:], dtype=complex)
+    per operator): c^(mu) acts on the alpha axis of a rank's (m, alpha) rows."""
+    ins, outs = c.in_basis.rank_rows, c.out_basis.rank_rows
+    out = np.zeros((len(c.out_basis.labels),) + coeffs.shape[1:], dtype=complex)
     for tmu, block in c.mu_blocks.items():
-        for tm in range(-tmu, tmu + 1, 2):
-            out[_rows(outs, tmu, tm)] = block @ coeffs[_rows(ins, tmu, tm)]
+        rows = block @ coeffs[ins[tmu]].reshape(tmu + 1, block.shape[1], -1)
+        out[outs[tmu]] = rows.reshape((-1,) + coeffs.shape[1:])
     return out
+
+
+def _top(rows: slice, tmu: int) -> slice:
+    """The m = mu rows of a rank: the last n_alpha of its 2mu+1 modes."""
+    return slice(rows.stop - (rows.stop - rows.start) // (tmu + 1), rows.stop)
 
 
 def reduce_covariant(e: Superoperator, in_basis: TensorOperatorBasis,
                      out_basis: TensorOperatorBasis, tol: float = 1e-8):
     """Coefficients c^(mu)_{beta alpha} = tr(S^dag E(T)) computed at the highest
-    weight m = mu and cross-checked at m = -mu; returns (coefficients, residual)
+    weight m = mu and cross-checked at every m; returns (coefficients, residual)
     where residual = max_mu,m,alpha ||E(T_m^(mu,a)) - sum_b c_ba S_m^(mu,b)||_1.
 
     A residual above tol means e is not covariant (reported, not raised).
@@ -159,9 +157,9 @@ def reduce_covariant(e: Superoperator, in_basis: TensorOperatorBasis,
     in_flat = in_basis.stack.reshape(n_in, e.in_dim ** 2)
     images = (in_flat @ e.liouville.T).reshape(n_in, e.out_dim, e.out_dim)
     overlaps = out_basis.coefficients(images)
-    common = sorted(set(in_basis.ranks()) & set(out_basis.ranks()))
-    blocks = {tmu: overlaps[_rows(out_basis.labels, tmu, tmu),
-                            _rows(in_basis.labels, tmu, tmu)].copy() for tmu in common}
+    ins, outs = in_basis.rank_rows, out_basis.rank_rows
+    blocks = {tmu: overlaps[_top(outs[tmu], tmu), _top(ins[tmu], tmu)].copy()
+              for tmu in ins if tmu in outs}
     coeffs = CovariantChannelCoefficients(blocks, in_basis, out_basis)
     recon = _expand(_apply_blocks(coeffs, np.eye(n_in)), out_basis.stack)
     residual = float(np.linalg.svd(images - recon, compute_uv=False).sum(-1).max(initial=0.0))
@@ -181,9 +179,7 @@ def compose_reduced(d: CovariantChannelCoefficients,
     if (mid_out.dim_left, mid_out.dim_right) != (mid_in.dim_left, mid_in.dim_right) \
             or mid_out.pair_labels != mid_in.pair_labels:
         raise ValueError("middle bases do not match")
-    blocks = {}
-    for tmu in set(d.mu_blocks) & set(c.mu_blocks):
-        blocks[tmu] = d.mu_blocks[tmu] @ c.mu_blocks[tmu]
+    blocks = {tmu: d.mu_blocks[tmu] @ c.mu_blocks[tmu] for tmu in set(d.mu_blocks) & set(c.mu_blocks)}
     return CovariantChannelCoefficients(blocks, c.in_basis, d.out_basis)
 
 
@@ -204,13 +200,10 @@ def coefficient_bounds_check(c: CovariantChannelCoefficients, tol: float = 1e-9)
             raise ValueError("bounds check requires multiplicity-free bases")
         a = c.in_basis.alphas_for(tmu)[0]
         b = c.out_basis.alphas_for(tmu)[0]
-        per_m = []
-        for im in range(tmu + 1):
-            tm = tmu - 2 * im
-            ratio = trace_norm(c.in_basis.ops[(tmu, tm, a)]) / trace_norm(c.out_basis.ops[(tmu, tm, b)])
-            bounds[(tmu, tm)] = ratio
-            per_m.append(ratio)
-        if abs(block[0, 0]) > min(per_m) + tol:
+        per_m = {(tmu, tm): trace_norm(c.in_basis.ops[(tmu, tm, a)]) / trace_norm(c.out_basis.ops[(tmu, tm, b)])
+                 for tm in range(tmu, -tmu - 1, -2)}
+        bounds.update(per_m)
+        if abs(block[0, 0]) > min(per_m.values()) + tol:
             violations.append(tmu)
     return CoefficientBoundsReport(bounds, tuple(violations), not violations)
 
@@ -226,10 +219,7 @@ def measurement_channel(povm, rep, tol: float = 0.0):
     n = len(povm.elements)
     d = povm.dim
     liou = np.zeros((n * n, d * d), dtype=complex)
-    for lam, m in enumerate(povm.elements):
-        flag = np.zeros((n, n), dtype=complex)
-        flag[lam, lam] = 1.0
-        liou += np.outer(vec(flag), vec(m.T))
+    liou[::n + 1] = [vec(m.T) for m in povm.elements]   # row (lam, lam): the flag |lam><lam|
     chan = Superoperator(liou, d, n, trace_preserving=True)
     out_rep = SU2Representation(((0, n),))
     spectrum = superop_mode_spectrum(chan, rep, out_rep, tol=tol, keep_components=False)
@@ -281,6 +271,23 @@ def covariant_joint_unitary(sys_rep: SU2Representation, rf_rep: SU2Representatio
 # state-space helpers built on the channel machinery
 # ---------------------------------------------------------------------------
 
+def _trace_correction(liouvilles, d_in: int, d_out: int) -> np.ndarray | None:
+    """corr = Z^(-1/2) with Z the maps' adjoints summed at the identity, so that the maps
+    after X -> corr X corr^dag sum to a channel; None unless PSD-safe."""
+    z = sum(liou.conj().T @ vec(np.eye(d_out)) for liou in liouvilles).reshape(d_in, d_in)
+    w, v = np.linalg.eigh((z + z.conj().T) / 2)
+    if w.min() < 1e-6 * w.max():
+        return None
+    return (v / np.sqrt(w)) @ v.conj().T
+
+
+def _precompose(liou: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """L kron(corr, conj corr), the map X -> E(corr X corr^dag); the Kronecker product is
+    one broadcast product (bit for bit np.kron's)."""
+    d = corr.shape[0]
+    return liou @ (corr[:, None, :, None] * corr.conj()[None, :, None, :]).reshape(d * d, d * d)
+
+
 def random_covariant_channel(in_rep, out_rep, rng: np.random.Generator,
                              n_kraus: int = 3, twirl_basis: TensorOperatorBasis | None = None,
                              max_tries: int = 20) -> Superoperator:
@@ -294,17 +301,10 @@ def random_covariant_channel(in_rep, out_rep, rng: np.random.Generator,
     for _ in range(max_tries):
         kraus = [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
                  for _ in range(n_kraus)]
-        cp = channel_from_kraus(kraus)
-        cov = twirl_superop(cp, dec_in, dec_out, basis=twirl_basis)
-        z = unvec(cov.liouville.conj().T @ vec(np.eye(d_out)), (d_in, d_in))
-        z = (z + z.conj().T) / 2
-        w, v = np.linalg.eigh(z)
-        if w.min() < 1e-6 * w.max():
-            continue
-        corr = (v / np.sqrt(w)) @ v.conj().T
-        pre = Superoperator(np.kron(corr, corr.conj()), d_in, d_in)
-        out = compose_superops(cov, pre)
-        return Superoperator(out.liouville, d_in, d_out, trace_preserving=True)
+        cov = twirl_superop(channel_from_kraus(kraus), dec_in, dec_out, basis=twirl_basis)
+        corr = _trace_correction([cov.liouville], d_in, d_out)
+        if corr is not None:
+            return Superoperator(_precompose(cov.liouville, corr), d_in, d_out, trace_preserving=True)
     raise RuntimeError("failed to draw a PSD-safe covariant channel")
 
 
@@ -319,15 +319,10 @@ def random_covariant_instrument(in_rep, out_rep, rng: np.random.Generator,
         parts = []
         for _ in range(n_outcomes):
             k = rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
-            parts.append(twirl_superop(channel_from_kraus([k]), dec_in, dec_out, basis=basis))
-        z = sum(unvec(p.liouville.conj().T @ vec(np.eye(d_out)), (d_in, d_in)) for p in parts)
-        z = (z + z.conj().T) / 2
-        w, v = np.linalg.eigh(z)
-        if w.min() < 1e-6 * w.max():
-            continue
-        corr = (v / np.sqrt(w)) @ v.conj().T
-        pre = Superoperator(np.kron(corr, corr.conj()), d_in, d_in)
-        return [compose_superops(p, pre) for p in parts]
+            parts.append(twirl_superop(channel_from_kraus([k]), dec_in, dec_out, basis=basis).liouville)
+        corr = _trace_correction(parts, d_in, d_out)
+        if corr is not None:
+            return [Superoperator(_precompose(p, corr), d_in, d_out) for p in parts]
     raise RuntimeError("failed to draw a PSD-safe covariant instrument")
 
 
@@ -366,10 +361,7 @@ def missing_mode_family(n: int, beta_points: int = 72, max_dim: int = 200) -> Mi
     rank1_norms = {tm: trace_norm(rank1.component(rho, 1, tm / 2)) for tm in (-2, 0, 2)}
 
     betas = np.linspace(0, np.pi, beta_points)
-    overlaps = []
-    for b in betas:
-        overlaps.append(abs(np.vdot(psi, rep.little_d(b) @ psi)) ** 2)
-    overlaps = np.array(overlaps)
+    overlaps = np.array([abs(np.vdot(psi, rep.little_d(b) @ psi)) ** 2 for b in betas])
     imin = int(np.argmin(overlaps))
     return MissingModeReport(psi, rep, rank1_norms, (2, rank1_norms[0]),
                              float(overlaps[imin]), float(betas[imin]))

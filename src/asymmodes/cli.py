@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,10 +93,7 @@ def cmd_u1_bound(args) -> int:
 
 def cmd_su2_tensor_basis(args) -> int:
     rep = serialize.rep_from_json(_load(args.rep))
-    basis = tensor_basis_general(rep)
-    payload = serialize.basis_to_json(basis)
-    text = serialize.dump_json(payload)
-    _emit(text, args.out)
+    _emit(serialize.dump_json(serialize.basis_to_json(tensor_basis_general(rep))), args.out)
     return EXIT_OK
 
 
@@ -180,6 +178,7 @@ def cmd_batch_psi_table(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,

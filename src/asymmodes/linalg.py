@@ -218,7 +218,8 @@ def identity_superop(dim: int) -> Superoperator:
 
 
 def channel_from_kraus(kraus, tol: float = DEFAULT_TOL) -> Superoperator:
-    """Liouville matrix of X -> sum_i K_i X K_i^dag; flags trace preservation."""
+    """Liouville matrix of X -> sum_i K_i X K_i^dag, one broadcast product over the stacked
+    operators, kron(K, conj K)[(a, c), (b, d)] = K[a, b] conj K[c, d]; flags trace preservation."""
     mats = [_as_matrix(k) for k in kraus]
     if not mats:
         raise ValueError("need at least one Kraus operator")
@@ -227,21 +228,17 @@ def channel_from_kraus(kraus, tol: float = DEFAULT_TOL) -> Superoperator:
         if k.shape != shape:
             raise ValueError(f"Kraus operator {i} has shape {k.shape}, expected {shape}")
     out_dim, in_dim = shape
-    liou = sum(np.kron(k, k.conj()) for k in mats)
-    ssum = sum(k.conj().T @ k for k in mats)
+    ks = np.array(mats)
+    liou = (ks[:, :, None, :, None] * ks.conj()[:, None, :, None, :]).sum(axis=0)
+    ssum = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
     tp = bool(np.abs(ssum - np.eye(in_dim)).max() <= tol)
-    return Superoperator(liou, in_dim, out_dim, trace_preserving=tp)
+    return Superoperator(liou.reshape(out_dim**2, in_dim**2), in_dim, out_dim, trace_preserving=tp)
 
 
 def superop_from_map(fn, in_dim: int, out_dim: int) -> Superoperator:
     """Build the Liouville matrix by applying fn to every |i><j| basis matrix."""
-    liou = np.zeros((out_dim**2, in_dim**2), dtype=complex)
-    for i in range(in_dim):
-        for j in range(in_dim):
-            e = np.zeros((in_dim, in_dim), dtype=complex)
-            e[i, j] = 1.0
-            liou[:, i * in_dim + j] = vec(fn(e))
-    return Superoperator(liou, in_dim, out_dim)
+    units = np.eye(in_dim**2, dtype=complex).reshape(-1, in_dim, in_dim)   # row i*in_dim + j: |i><j|
+    return Superoperator(np.column_stack([vec(fn(e)) for e in units]), in_dim, out_dim)
 
 
 def apply_superop(e: Superoperator, x) -> np.ndarray:

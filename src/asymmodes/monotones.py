@@ -16,6 +16,7 @@ from .su2 import (
     HalfInteger,
     SU2Representation,
     _operator,
+    _overlaps,
     _twice,
     angular_momentum,
     axial_twirl,
@@ -42,16 +43,21 @@ class ModeMonotoneTable:
 
 
 def mode_monotone_table(rho, rep, max_rank=None) -> ModeMonotoneTable:
-    """||rho^(mu,m)||_1 of every mode from one sector_trace_norms call: in the
-    block form Lz is diagonal, and the (mu,m) component maps Lz sector M to M + m.
-    Labels sort by rank, so max_rank projects only a prefix of the rows."""
+    """||rho^(mu,m)||_1 of every mode in the block form.  A single irrep has one row
+    per mode, so the entry is |tr(T^dag rho)| ||T||_1 (closed form); otherwise one
+    sector_trace_norms call, as the (mu,m) component maps Lz sector M to M + m
+    (sector block).  Labels sort by rank, so max_rank projects only a row prefix."""
     w, block = decompose(rep).block_form()
     frame = tensor_basis_for(block)
     rho = _operator(_as_matrix(rho), w.shape)
     rows = None if max_rank is None else bisect_left(frame.labels, (_twice(max_rank) + 1,))
-    norms = sector_trace_norms(frame.mode_stack(w.conj().T @ rho @ w, rows), block.twice_m)
-    return ModeMonotoneTable({mode: float(row[mode[1] + len(row) // 2])
-                              for mode, row in zip(frame.modes, norms)})
+    x = w.conj().T @ rho @ w
+    if frame.mode_starts is None:
+        values = np.abs(_overlaps(frame.stack[:rows], x)) * frame.row_trace_norms[:rows]
+    else:
+        norms = sector_trace_norms(frame.mode_stack(x, rows), block.twice_m)
+        values = [row[tm + len(row) // 2] for (_, tm), row in zip(frame.modes, norms)]
+    return ModeMonotoneTable(dict(zip(frame.modes, map(float, values))))
 
 
 def spin_j_mode_monotone(rho, j, mu, m) -> float:
@@ -69,10 +75,8 @@ def ensemble_bound_g(rho, ensemble, rep, tol: float = 1e-10):
         raise ValueError("ensemble probabilities must be nonnegative with sum <= 1")
     table_rho = mode_monotone_table(rho, rep)
     tables = [(mode_monotone_table(sig, rep), p) for sig, p in ensemble]
-    residuals = {}
-    for mode, r in table_rho.entries.items():
-        s = sum(p * t.entries[mode] for t, p in tables)
-        residuals[mode] = r - s
+    residuals = {mode: r - sum(p * t.entries[mode] for t, p in tables)
+                 for mode, r in table_rho.entries.items()}
     return residuals, all(v >= -tol for v in residuals.values())
 
 
@@ -139,14 +143,11 @@ def _half_coupled(tj: int):
 
 
 def _psucc_twirl_oracle(rho, j) -> float:
-    """Helstrom value over invariant measurements: 1/2 + (1/4)||G(up x rho) -
-    G(down x rho)||_1 with G the exact twirl on spin-1/2 x spin-j."""
+    """Helstrom value over invariant measurements: 1/2 + (1/4)||G(sigma_z x rho)||_1,
+    the twirl G being linear, with G the exact twirl on spin-1/2 x spin-j."""
     dec = _half_coupled(_twice(j))
-    up = np.diag([1.0, 0.0]).astype(complex)
-    down = np.diag([0.0, 1.0]).astype(complex)
-    rho = _as_matrix(rho)
-    diff = twirl_state(np.kron(up, rho), dec) - twirl_state(np.kron(down, rho), dec)
-    return 0.5 + 0.25 * trace_norm(diff)
+    sigma_z = np.diag([1.0, -1.0]).astype(complex)
+    return 0.5 + 0.25 * trace_norm(twirl_state(np.kron(sigma_z, _as_matrix(rho)), dec))
 
 
 def distinguish_success_probability(rho, j, oracle: bool = False, tol: float = 1e-8) -> PsuccResult:

@@ -21,10 +21,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import _as_matrix
+from .linalg import _as_matrix, sector_trace_norms
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +294,14 @@ class DecomposedRep:
         comps = []
         for tja, va in self.components:
             for tjb, vb in other.components:
+                pair = np.kron(va, vb)   # column (ia, ib): |ja ma> x |jb mb>
                 for tJ in range(abs(tja - tjb), tja + tjb + 1, 2):
-                    w = np.zeros((self.dim * other.dim, tJ + 1), dtype=complex)
-                    for iM in range(tJ + 1):
-                        tM = tJ - 2 * iM
-                        for ia in range(tja + 1):
-                            tma = tja - 2 * ia
-                            tmb = tM - tma
-                            if abs(tmb) > tjb:
-                                continue
-                            c = _cg_twice(tja, tma, tjb, tmb, tJ, tM)
-                            if c != 0.0:
-                                w[:, iM] += c * np.kron(va[:, ia], vb[:, (tjb - tmb) // 2])
-                    comps.append((tJ, _read_only(w)))
+                    cg = np.zeros((tja + 1, tjb + 1, tJ + 1))
+                    for ia, iM in np.ndindex(tja + 1, tJ + 1):
+                        tmb = tJ - 2 * iM - tja + 2 * ia
+                        if abs(tmb) <= tjb:
+                            cg[ia, (tjb - tmb) // 2, iM] = _cg_twice(tja, tja - 2 * ia, tjb, tmb, tJ, tJ - 2 * iM)
+                    comps.append((tJ, _read_only(pair @ cg.reshape(-1, tJ + 1))))
         return DecomposedRep(self.dim * other.dim, tuple(comps))
 
 
@@ -373,7 +369,8 @@ class TensorOperatorBasis:
     the operator labelled labels[k], and ops holds views of these rows.  labels
     is sorted, so each mode (twice_mu, twice_m) is one contiguous slice of rows,
     modes lists the modes in that order and mode_starts their first rows (None
-    when every mode has one row).
+    when every mode has one row).  Each rank is one slice of rows, rank_rows,
+    running (m ascending, alpha): 2mu+1 modes of n_alpha rows each.
     Projections go through coefficients(x) = stack.reshape(n, -1).conj() @ vec(x).
     stack is read-only, so no caller can change a cached basis.
     """
@@ -403,12 +400,28 @@ class TensorOperatorBasis:
         object.__setattr__(self, "mode_starts", None if len(starts) == len(labels) else _read_only(starts))
         object.__setattr__(self, "ops", dict(zip(labels, self.stack)))
 
+    @cached_property
+    def rank_rows(self) -> MappingProxyType:
+        """twice_mu -> its slice of rows, in ascending rank order; built once per instance."""
+        tmus = [tmu for tmu, _, _ in self.labels]
+        edges = [k for k in range(len(tmus) + 1) if k in (0, len(tmus)) or tmus[k] != tmus[k - 1]]
+        return MappingProxyType({tmus[lo]: slice(lo, hi) for lo, hi in zip(edges, edges[1:])})
+
+    @cached_property
+    def row_trace_norms(self) -> np.ndarray:
+        """||T_k||_1 of every row k of a basis on a block representation, from one
+        sector_trace_norms call: row (mu, m, alpha) shifts every Lz sector by m.
+        Built once per instance, read-only."""
+        norms = sector_trace_norms(self.stack, self.rep.twice_m)
+        shifts = [tm + norms.shape[1] // 2 for _, tm, _ in self.labels]
+        return _read_only(norms[np.arange(len(norms)), shifts])
+
     @property
     def square(self) -> bool:
         return self.dim_left == self.dim_right
 
     def ranks(self) -> list:
-        return sorted({tmu for tmu, _, _ in self.labels})
+        return list(self.rank_rows)
 
     def alphas_for(self, tmu: int) -> list:
         return sorted({a for mu, _, a in self.labels if mu == tmu})
@@ -601,11 +614,10 @@ def covariance_residual(basis: TensorOperatorBasis, left, right, angles) -> floa
     """Max |U_L T_m U_R^dag - sum_m' D^mu_{m'm} T_m'| over the basis and the
     supplied Euler triples.  A rank's rows run over (m ascending, alpha), while D
     runs over m = mu..-mu, so D's m axes are reversed to match the rows."""
-    ranks = [(tmu, _rows(basis.labels, tmu)) for tmu in basis.ranks()]
     worst = 0.0
     for aa, bb, gg in np.atleast_2d(angles):
         rotated = left.unitary(aa, bb, gg) @ basis.stack @ right.unitary(aa, bb, gg).conj().T
-        for tmu, rows in ranks:
+        for tmu, rows in basis.rank_rows.items():
             shape = (tmu + 1, -1) + basis.stack.shape[1:]
             d_ascending = wigner_D(HalfInteger(tmu), aa, bb, gg)[::-1, ::-1]
             predicted = np.tensordot(d_ascending, basis.stack[rows].reshape(shape), axes=(0, 0))
@@ -629,8 +641,7 @@ def hermitian_conjugate_mode_check(basis: TensorOperatorBasis, tol: float = 1e-1
     """Checks each T^dag lies in the span of the same-rank operators (for SU(2)
     the conjugate irrep is equivalent to the irrep itself)."""
     residuals = {}
-    for tmu in basis.ranks():
-        rank = _rows(basis.labels, tmu)
+    for rank in basis.rank_rows.values():
         ts = basis.stack[rank]
         daggers = ts.conj().transpose(0, 2, 1)
         gap = daggers - _expand(_overlaps(ts, daggers), ts)

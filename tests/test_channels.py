@@ -4,6 +4,7 @@ import pytest
 from asymmodes import (
     POVM,
     SU2Representation,
+    Superoperator,
     apply_reduced,
     apply_superop,
     channel_from_kraus,
@@ -32,7 +33,8 @@ from asymmodes import (
     twirl_superop,
     wigner_D,
 )
-from asymmodes.channels import CovariantChannelCoefficients
+from asymmodes.channels import CovariantChannelCoefficients, _apply_blocks, _precompose
+from asymmodes.su2 import _rows
 
 REP_HALF = SU2Representation.spin(0.5)
 REP_ONE = SU2Representation.spin(1)
@@ -408,3 +410,55 @@ def test_missing_mode_family_n2():
 def test_missing_mode_family_size_guard():
     with pytest.raises(ValueError, match="exceeds"):
         missing_mode_family(4, max_dim=50)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(2, 3), (4, 2), (3, 3), (1, 4)])
+def test_precompose_matches_kron_product(d_in, d_out):
+    rng = np.random.default_rng(10 * d_in + d_out)
+    liou = rng.normal(size=(d_out**2, d_in**2)) + 1j * rng.normal(size=(d_out**2, d_in**2))
+    corr = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+    np.testing.assert_array_equal(_precompose(liou, corr), liou @ np.kron(corr, corr.conj()))
+    x = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+    e = Superoperator(_precompose(liou, corr), d_in, d_out)
+    direct = apply_superop(Superoperator(liou, d_in, d_out), corr @ x @ corr.conj().T)
+    assert np.abs(apply_superop(e, x) - direct).max() < 1e-12
+
+
+def _apply_blocks_per_mode(c, coeffs):
+    """The per-(mu, m) loop that one product per rank replaces."""
+    ins, outs = c.in_basis.labels, c.out_basis.labels
+    out = np.zeros((len(outs),) + coeffs.shape[1:], dtype=complex)
+    for tmu, block in c.mu_blocks.items():
+        for tm in range(-tmu, tmu + 1, 2):
+            out[_rows(outs, tmu, tm)] = block @ coeffs[_rows(ins, tmu, tm)]
+    return out
+
+
+@pytest.mark.parametrize("blocks_in, blocks_out", [
+    (((1, 2),), ((1, 1), (3, 1))), (((2, 2),), ((2, 2),)), (((2, 1),), ((4, 1),)), (((4, 1),), ((2, 1),)),
+], ids=["1x2->1+3", "2x2->2x2", "1->2", "2->1"])
+def test_per_rank_blocks_match_per_mode_loop(blocks_in, blocks_out):
+    a, b = SU2Representation(blocks_in), SU2Representation(blocks_out)
+    rng = np.random.default_rng(a.dim * 10 + b.dim)
+    chan = random_covariant_channel(a, b, rng)
+    in_basis, out_basis = tensor_basis_general(a), tensor_basis_general(b)
+    coeffs, residual = reduce_covariant(chan, in_basis, out_basis)
+    assert residual < 1e-10
+    # the blocks are the highest-weight (m = mu) overlaps, also of a map that is not covariant
+    arbitrary = channel_from_kraus([rng.normal(size=(b.dim, a.dim)) + 1j * rng.normal(size=(b.dim, a.dim))])
+    for e in (chan, arbitrary):
+        overlaps = out_basis.coefficients(np.array([apply_superop(e, t) for t in in_basis.stack]))
+        blocks = reduce_covariant(e, in_basis, out_basis)[0].mu_blocks
+        assert set(blocks) == set(in_basis.ranks()) & set(out_basis.ranks())
+        for tmu, block in blocks.items():
+            want = overlaps[_rows(out_basis.labels, tmu, tmu), _rows(in_basis.labels, tmu, tmu)]
+            np.testing.assert_allclose(block, want, rtol=0, atol=1e-14)
+    xs = rng.normal(size=(3, a.dim, a.dim)) + 1j * rng.normal(size=(3, a.dim, a.dim))
+    for x in (xs[0], xs):
+        weights = in_basis.coefficients(x)
+        np.testing.assert_allclose(_apply_blocks(coeffs, weights), _apply_blocks_per_mode(coeffs, weights),
+                                   rtol=0, atol=1e-14)
+        rebuilt = apply_reduced(coeffs, x)
+        direct = np.array([apply_superop(chan, y) for y in np.reshape(x, (-1, a.dim, a.dim))])
+        assert rebuilt.shape == np.shape(x)[:-2] + (b.dim, b.dim)
+        assert np.abs(rebuilt - direct.reshape(rebuilt.shape)).max() < 1e-12

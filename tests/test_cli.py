@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asymmodes
 from asymmodes import serialize, u1
-from asymmodes.cli import main
+from asymmodes.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden" / "psi_monotones.csv"
 
@@ -207,3 +211,39 @@ def test_serialize_roundtrip_and_errors():
         serialize.channel_from_json({"neither": 1})
     rep = serialize.rep_from_json({"blocks": [{"twice_j": 3, "mult": 2}]})
     assert serialize.rep_to_json(rep) == {"blocks": [{"twice_j": 3, "mult": 2}]}
+
+
+def test_parser_built_once_and_reused_across_calls(workspace, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    runs = [  # (argv, ASYMMODES_TOL or None)
+        (["u1", "decompose", "--state", workspace["coh"], "--charges", workspace["charges"]], None),
+        (["u1", "decompose", "--state", workspace["coh"], "--charges", workspace["charges"]], "0.5"),
+        (["su2", "monotones", "--state", workspace["up1"], "--rep", workspace["rep1"]], "0.5"),
+        (["su2", "psucc", "--state", workspace["uphalf"], "--twice-j", "1", "--oracle"], None),
+        (["u1", "bound", "--from", workspace["diag"], "--to", workspace["coh"],
+          "--charges", workspace["charges"]], None),
+        (["su2", "monotones", "--state", workspace["uphalf"], "--rep", workspace["rep1"]], None),
+        (["u1", "decompose", "--state", workspace["coh"], "--charges", workspace["charges"],
+          "--tol", "0.4"], "0.5"),
+    ]
+    in_process = []
+    for argv, tol in runs:
+        if tol is None:
+            monkeypatch.delenv("ASYMMODES_TOL", raising=False)
+        else:
+            monkeypatch.setenv("ASYMMODES_TOL", tol)
+        rc = main(argv)
+        in_process.append((rc, capsys.readouterr().out))
+    monkeypatch.delenv("ASYMMODES_TOL", raising=False)
+    src = str(Path(asymmodes.__file__).resolve().parent.parent)
+    separate = []
+    for argv, tol in runs:
+        env = {k: v for k, v in os.environ.items() if k != "ASYMMODES_TOL"}
+        env.update(PYTHONPATH=src, **({} if tol is None else {"ASYMMODES_TOL": tol}))
+        done = subprocess.run([sys.executable, "-m", "asymmodes.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        separate.append((done.returncode, done.stdout))
+    assert in_process == separate
+    assert [rc for rc, _ in in_process] == [0, 0, 0, 0, 2, 1, 0]
+    assert in_process[0][1] != in_process[1][1]   # the tolerance is read on every call
+    assert build_parser() is build_parser()

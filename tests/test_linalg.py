@@ -134,6 +134,22 @@ def test_channel_from_kraus():
         channel_from_kraus([I2, np.eye(3)])
 
 
+@pytest.mark.parametrize("shape, n", [((3, 2), 3), ((2, 5), 4), ((4, 4), 1), ((3, 3), 3)])
+def test_channel_from_kraus_matches_kron_sum(shape, n):
+    rng = np.random.default_rng(sum(shape) + n)
+    kraus = [random_complex(rng, shape) for _ in range(n)]
+    chan = channel_from_kraus(kraus)
+    np.testing.assert_array_equal(chan.liouville, sum(np.kron(k, k.conj()) for k in kraus))
+    assert (chan.out_dim, chan.in_dim) == shape
+    assert chan.trace_preserving is False
+    # an isometry's Kraus set: V^dag V = 1 on the smaller side, so it is trace preserving there
+    v = np.linalg.qr(random_complex(rng, (max(shape), max(shape))))[0][:, :min(shape)]
+    iso = channel_from_kraus([v])
+    np.testing.assert_array_equal(iso.liouville, np.kron(v, v.conj()))
+    assert iso.trace_preserving is True
+    assert channel_from_kraus([k / np.sqrt(2) for k in (v, v)]).trace_preserving is True
+
+
 def test_apply_superop_identity_zero_composition():
     rng = np.random.default_rng(7)
     x = random_complex(rng, (3, 3))

@@ -25,6 +25,7 @@ from asymmodes import (
     wigner_D,
 )
 from asymmodes.channels import random_covariant_instrument
+from asymmodes.linalg import sector_trace_norms
 from asymmodes.su2 import decompose, tensor_basis_for
 
 REP_HALF = SU2Representation.spin(0.5)
@@ -350,3 +351,39 @@ def test_table_max_rank_keeps_the_lower_ranks():
             mode_monotone_table(bad, rep)
     with pytest.raises(ValueError):
         mode_monotone_table(np.ones(rep.dim), rep)
+
+
+def _sector_route_table(rho, rep, max_rank=None):
+    """The multi-row route (mode components through sector_trace_norms), taken on every basis."""
+    w, block = decompose(rep).block_form()
+    frame = tensor_basis_for(block)
+    rows = None if max_rank is None else sum(1 for tmu, _, _ in frame.labels if tmu <= 2 * max_rank)
+    norms = sector_trace_norms(frame.mode_stack(w.conj().T @ rho @ w, rows), block.twice_m)
+    return {mode: row[mode[1] + len(row) // 2] for mode, row in zip(frame.modes, norms)}
+
+
+@pytest.mark.parametrize("tj", range(1, 13))
+def test_single_irrep_closed_form_table_matches_sector_route(tj):
+    rep = SU2Representation(((tj, 1),))
+    rng = np.random.default_rng(100 + tj)
+    for rho in (random_density_matrix(rep.dim, rng), random_density_matrix(rep.dim, rng, rank=1)):
+        for max_rank in (None, 0, 1, (tj // 2) / 2):
+            got = mode_monotone_table(rho, rep, max_rank=max_rank).entries
+            want = _sector_route_table(rho, rep, max_rank)
+            assert list(got) == list(want)
+            np.testing.assert_array_max_ulp(np.array(list(got.values())), np.array(list(want.values())), maxulp=4)
+
+
+def test_psucc_oracle_twirls_once():
+    rng = np.random.default_rng(41)
+    for tj in range(1, 9):
+        j = tj / 2
+        dec = monotones_module._half_coupled(tj)
+        for _ in range(2):
+            rho = random_density_matrix(tj + 1, rng)
+            up, down = (np.kron(np.diag(p).astype(complex), rho) for p in ([1.0, 0.0], [0.0, 1.0]))
+            two_twirls = 0.5 + 0.25 * trace_norm(monotones_module.twirl_state(up, dec)
+                                                 - monotones_module.twirl_state(down, dec))
+            oracle = monotones_module._psucc_twirl_oracle(rho, j)
+            assert oracle == pytest.approx(two_twirls, abs=1e-14)
+            assert oracle == pytest.approx(distinguish_success_probability(rho, j).formula, abs=1e-12)

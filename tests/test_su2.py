@@ -20,6 +20,7 @@ from asymmodes import (
     superop_tensor_basis,
     tensor_basis_general,
     tensor_basis_spin_j,
+    trace_norm,
     twirl_state,
     wigner_D,
     wigner_d,
@@ -644,3 +645,25 @@ def test_axial_twirl():
     ln = ax[0] * ops.Lx + ax[1] * ops.Ly + ax[2] * ops.Lz
     sym2 = axial_twirl(rho, j, ax)
     assert np.trace(ln @ sym2) == pytest.approx(np.trace(ln @ rho), abs=1e-11)
+
+
+@pytest.mark.parametrize("blocks", [((1, 1),), ((6, 1),), ((1, 2),), ((0, 1), (2, 1)), ((2, 2), (4, 1))],
+                         ids=lambda b: "+".join(f"{tj}x{m}" for tj, m in b))
+def test_rank_rows_and_row_trace_norms(blocks):
+    basis = tensor_basis_general(SU2Representation(blocks))
+    assert basis.rank_rows is basis.rank_rows   # built once per instance
+    assert list(basis.rank_rows) == basis.ranks() == sorted({tmu for tmu, _, _ in basis.labels})
+    for tmu, rows in basis.rank_rows.items():
+        assert rows == _rows(basis.labels, tmu)
+        n_alpha = len(basis.alphas_for(tmu))
+        # (m ascending, alpha): 2mu+1 modes of n_alpha rows each
+        assert [label[1:] for label in basis.labels[rows]] == [
+            (tm, a) for tm in range(-tmu, tmu + 1, 2) for a in basis.alphas_for(tmu)]
+        assert rows.stop - rows.start == (tmu + 1) * n_alpha
+    with pytest.raises(TypeError):
+        basis.rank_rows[0] = slice(0, 0)
+    norms = basis.row_trace_norms
+    assert norms is basis.row_trace_norms
+    np.testing.assert_allclose(norms, [trace_norm(t) for t in basis.stack], rtol=1e-13, atol=0)
+    with pytest.raises(ValueError):
+        norms[0] = 0.0
