@@ -50,17 +50,24 @@ class HalfInteger:
 
     @classmethod
     def coerce(cls, x) -> "HalfInteger":
-        if isinstance(x, HalfInteger):
-            return x
-        t = 2 * float(x)
-        ti = round(t)
-        if abs(t - ti) > 1e-9:
-            raise ValueError(f"{x} is not a half-integer")
-        return cls(int(ti))
+        return x if isinstance(x, HalfInteger) else cls(_twice(x))
 
 
 def _twice(x) -> int:
-    return HalfInteger.coerce(x).twice
+    if isinstance(x, HalfInteger):
+        return x.twice
+    t = 2 * float(x)
+    if not math.isfinite(t) or abs(t - round(t)) > 1e-9:
+        raise ValueError(f"{x} is not a half-integer")
+    return round(t)
+
+
+def _spin(j) -> int:
+    """Twice a spin j, which must be a half-integer >= 0."""
+    tj = _twice(j)
+    if tj < 0:
+        raise ValueError(f"spin j must be >= 0, got {j}")
+    return tj
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -97,67 +104,74 @@ class AngularMomentumOps:
 @lru_cache(maxsize=128)
 def _angular_momentum(tj: int) -> AngularMomentumOps:
     j = tj / 2
-    dim = tj + 1
-    m = j - np.arange(dim)
+    m = j - np.arange(tj + 1)
     lz = np.diag(m.astype(complex))
-    lp = np.zeros((dim, dim), dtype=complex)
-    for i in range(1, dim):
-        lp[i - 1, i] = math.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
-    l2 = j * (j + 1) * np.eye(dim, dtype=complex)
+    lp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    l2 = j * (j + 1) * np.eye(tj + 1, dtype=complex)
     return AngularMomentumOps(HalfInteger(tj), *map(_read_only, (lz, lp, lp.conj().T, l2)))
 
 
 def angular_momentum(j) -> AngularMomentumOps:
     """Ladder-convention spin-j operators, <j,m+1|L+|j,m> = sqrt(j(j+1)-m(m+1))."""
-    tj = _twice(j)
-    if tj < 0:
-        raise ValueError("j must be >= 0")
-    return _angular_momentum(tj)
+    return _angular_momentum(_spin(j))
 
 
 # ---------------------------------------------------------------------------
-# Clebsch-Gordan (Racah sum, log-space factorials, Condon-Shortley phases)
+# Clebsch-Gordan (eigenvectors of J^2 per M band, Condon-Shortley phases)
 # ---------------------------------------------------------------------------
 
-def _lnfact(n: int) -> float:
-    return math.lgamma(n + 1)
-
-
-def _cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
-    if tM != tm1 + tm2:
-        return 0.0
-    if not (abs(tj1 - tj2) <= tJ <= tj1 + tj2) or (tj1 + tj2 + tJ) % 2 != 0:
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
-        return 0.0
-    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
-        return 0.0
-
-    def f(tx: int) -> float:
-        return _lnfact(tx // 2)
-
-    pref = 0.5 * (
-        math.log(tJ + 1.0)
-        + f(tj1 + tj2 - tJ) + f(tj1 - tj2 + tJ) + f(-tj1 + tj2 + tJ) - f(tj1 + tj2 + tJ + 2)
-        + f(tj1 + tm1) + f(tj1 - tm1) + f(tj2 + tm2) + f(tj2 - tm2) + f(tJ + tM) + f(tJ - tM)
-    )
-    tmin = max(0, tj2 - tJ - tm1, tj1 - tJ + tm2)
-    tmax = min(tj1 + tj2 - tJ, tj1 - tm1, tj2 + tm2)
-    total = 0.0
-    t = tmin
-    while t <= tmax:
-        ln = pref - (
-            f(t) + f(tj1 + tj2 - tJ - t) + f(tj1 - tm1 - t) + f(tj2 + tm2 - t)
-            + f(tJ - tj2 + tm1 + t) + f(tJ - tj1 - tm2 + t)
-        )
-        total += (-1.0) ** (t // 2) * math.exp(ln)
-        t += 2
-    return total
+@lru_cache(maxsize=128)
+def _coupling(tja: int, tjb: int) -> MappingProxyType:
+    """{twice_M: C} for ja x jb, C[i, k] = <ja ma_i; jb M-ma_i | J_k M> with ma_i
+    running down the M band from its top and J_k = max(|M|, |ja-jb|) + k.
+    Each band is one eigh of the tridiagonal J^2 - ja(ja+1) - jb(jb+1), the
+    eigenvector form of the three-term recursion (Schulten & Gordon, J. Math.
+    Phys. 16, 1961 (1975)).  Phases: |J J> is positive at ma = ja, and every
+    lower |J M> overlaps positively with J-|J M+1>."""
+    f = np.arange(tja + 1)                                   # ma = ja - f
+    lower_a = np.sqrt(f * (tja + 1.0 - f))                  # <ma|Ja-|ma+1>
+    table, pad, tjmin_above = {}, np.zeros((tja + 2, 0)), tja + tjb + 2
+    for tM in range(tja + tjb, -tja - tjb - 1, -2):
+        lo = (tja - min(tja, tM + tjb)) // 2                 # f of the band's top
+        n = (min(tja, tM + tjb) - max(-tja, tM - tjb)) // 2 + 1
+        tma, tmb = tja - 2 * f[lo:lo + n], tM - tja + 2 * f[lo:lo + n]
+        lower_b = np.sqrt((tjb + tmb + 2) * (tjb - tmb) / 4.0)   # <mb|Jb-|mb+1>
+        off = lower_a[lo + 1:lo + n] * lower_b[:-1]
+        _, c = np.linalg.eigh(np.diag(tma * tmb / 2.0) + np.diag(off, 1) + np.diag(off, -1))
+        tjmin = max(abs(tM), abs(tja - tjb))
+        # J- applied to band M+1 (pad holds it on the f grid shifted by one)
+        lowered = lower_a[lo:lo + n, None] * pad[lo:lo + n] + lower_b[:, None] * pad[lo + 1:lo + n + 1]
+        k, ka = (max(tjmin, tjmin_above) - tjmin) // 2, (max(tjmin, tjmin_above) - tjmin_above) // 2
+        c[:, k:] *= np.where(np.sum(c[:, k:] * lowered[:, ka:ka + n - k], axis=0) < 0, -1, 1)
+        if tM >= abs(tja - tjb) and c[0, 0] < 0:   # the new highest weight J = M
+            c[:, 0] *= -1
+        pad, tjmin_above = np.zeros((tja + 2, n)), tjmin
+        pad[lo + 1:lo + n + 1] = c
+        table[tM] = _read_only(c)
+    return MappingProxyType(table)
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
-    """<j1 m1; j2 m2 | J M>; returns 0 when selection rules fail."""
-    return _cg_twice(_twice(j1), _twice(m1), _twice(j2), _twice(m2), _twice(J), _twice(M))
+    """<j1 m1; j2 m2 | J M>, read from the coupling table of j1 x j2; returns 0
+    when selection rules fail."""
+    tj1, tj2, tJ = _spin(j1), _spin(j2), _spin(J)
+    tm1, tm2, tM = _twice(m1), _twice(m2), _twice(M)
+    if (tM != tm1 + tm2 or abs(tm1) > tj1 or abs(tm2) > tj2 or (tj1 + tm1) % 2 or (tj2 + tm2) % 2
+            or (tj1 + tj2 + tJ) % 2 or not max(abs(tM), abs(tj1 - tj2)) <= tJ <= tj1 + tj2):
+        return 0.0
+    c = _coupling(tj1, tj2)[tM]
+    return float(c[(min(tj1, tM + tj2) - tm1) // 2, (tJ - max(abs(tM), abs(tj1 - tj2))) // 2])
+
+
+def _coupled(tja: int, va: np.ndarray, tjb: int, vb: np.ndarray, tjs):
+    """The |J M> vectors of va x vb for the twice-J in tjs, one M band at a time:
+    yields (tM, twice_Js, xs) with xs[k] = sum_ma <ja ma; jb M-ma | J_k M> va[:, ma]
+    vb[:, M-ma]^T, that is |J_k M> as a (dim_a, dim_b) matrix."""
+    for tM in range(max(tjs, default=-1), -max(tjs, default=-1) - 1, -2):
+        js = [tJ for tJ in tjs if tJ >= abs(tM)]
+        c = _coupling(tja, tjb)[tM][:, [(tJ - max(abs(tM), abs(tja - tjb))) // 2 for tJ in js]]
+        ia = (tja - min(tja, tM + tjb)) // 2 + np.arange(len(c))
+        yield tM, js, (va[:, ia] * c.T[:, None, :]) @ vb[:, (tja + tjb - tM) // 2 - ia].T
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +185,13 @@ def _ly_eig(tj: int):
 
 def wigner_d(j, beta: float) -> np.ndarray:
     """Little-d matrix <j m'|e^{-i beta Ly}|j m> (rows/cols ordered m = j..-j)."""
-    w, v = _ly_eig(_twice(j))
+    w, v = _ly_eig(_spin(j))
     return (v * np.exp(-1j * beta * w)) @ v.conj().T
 
 
 def wigner_D(j, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Unitary irrep matrix for zyz Euler angles."""
-    tj = _twice(j)
+    tj = _spin(j)
     m = tj / 2 - np.arange(tj + 1)
     return np.exp(-1j * alpha * m)[:, None] * wigner_d(j, beta) * np.exp(-1j * gamma * m)[None, :]
 
@@ -294,14 +308,12 @@ class DecomposedRep:
         comps = []
         for tja, va in self.components:
             for tjb, vb in other.components:
-                pair = np.kron(va, vb)   # column (ia, ib): |ja ma> x |jb mb>
-                for tJ in range(abs(tja - tjb), tja + tjb + 1, 2):
-                    cg = np.zeros((tja + 1, tjb + 1, tJ + 1))
-                    for ia, iM in np.ndindex(tja + 1, tJ + 1):
-                        tmb = tJ - 2 * iM - tja + 2 * ia
-                        if abs(tmb) <= tjb:
-                            cg[ia, (tjb - tmb) // 2, iM] = _cg_twice(tja, tja - 2 * ia, tjb, tmb, tJ, tJ - 2 * iM)
-                    comps.append((tJ, _read_only(pair @ cg.reshape(-1, tJ + 1))))
+                tjs = range(abs(tja - tjb), tja + tjb + 1, 2)
+                isos = {tJ: np.zeros((self.dim * other.dim, tJ + 1), dtype=complex) for tJ in tjs}
+                for tM, js, xs in _coupled(tja, va, tjb, vb, tjs):
+                    for tJ, x in zip(js, xs):
+                        isos[tJ][:, (tJ - tM) // 2] = x.reshape(-1)
+                comps += [(tJ, _read_only(v)) for tJ, v in isos.items()]
         return DecomposedRep(self.dim * other.dim, tuple(comps))
 
 
@@ -317,11 +329,9 @@ def _decompose(rep: SU2Representation) -> DecomposedRep:
     off = 0
     eye = np.eye(rep.dim, dtype=complex)
     for tj, mult in rep.blocks:
-        dimj = tj + 1
         for a in range(mult):
-            cols = [off + i * mult + a for i in range(dimj)]
-            comps.append((tj, _read_only(eye[:, cols])))
-        off += dimj * mult
+            comps.append((tj, _read_only(eye[:, off + a + mult * np.arange(tj + 1)])))
+        off += (tj + 1) * mult
     return DecomposedRep(rep.dim, tuple(comps))
 
 
@@ -429,10 +439,6 @@ class TensorOperatorBasis:
     def op(self, mu, m, alpha: int = 0) -> np.ndarray:
         return self.ops[(_twice(mu), _twice(m), alpha)]
 
-    def coefficient(self, x, mu, m, alpha: int = 0) -> complex:
-        t = self.op(mu, m, alpha)
-        return complex(np.vdot(t, x))
-
     def coefficients(self, x) -> np.ndarray:
         """tr(T_k^dag x) for every row k, in labels order ((n, b) for a batch of b)."""
         return _overlaps(self.stack, x)
@@ -462,34 +468,32 @@ class TensorOperatorBasis:
         return _expand(self.coefficients(x), self.stack)
 
 
+_MAX_STACK_BYTES = 2**29   # largest dense operator stack (bytes) a basis build allocates
+
+
 def _tensor_ops_between(left: DecomposedRep, right: DecomposedRep,
                         ranks: set | None = None) -> TensorOperatorBasis:
     """Covariant basis of B(H_right -> H_left): left(g) T right(g)^dag = sum D^mu T.
-
-    Restricting `ranks` (a set of twice-mu) builds only those multiplets.
-    Rows are filled in place; stacking separate matrices would double peak memory.
-    """
-    pairs = [(p, q) for p in left.components for q in right.components]
+    Row (mu, m, alpha) is |mu m> of the alpha-th pair of left x conj(right)
+    components as an operator, times (-1)^(2 jb).  Restricting `ranks` (a set of
+    twice-mu) builds only those multiplets.  Rows are filled in place; stacking
+    separate matrices would double peak memory."""
+    pairs = [(p, q) for p in left.components for q in right.conjugate().components]
+    tmus = [[tmu for tmu in range(abs(tja - tjb), tja + tjb + 1, 2) if ranks is None or tmu in ranks]
+            for (tja, _), (tjb, _) in pairs]
     labels = sorted((tmu, tmu - 2 * im, alpha)
-                    for alpha, ((tja, _), (tjb, _)) in enumerate(pairs)
-                    for tmu in range(abs(tja - tjb), tja + tjb + 1, 2)
-                    if ranks is None or tmu in ranks
-                    for im in range(tmu + 1))
+                    for alpha, ts in enumerate(tmus) for tmu in ts for im in range(tmu + 1))
+    nbytes = 16 * len(labels) * left.dim * right.dim
+    if nbytes > _MAX_STACK_BYTES:
+        raise ValueError(f"a basis of {len(labels)} operators of shape {left.dim}x{right.dim} needs "
+                         f"{nbytes} bytes, over the {_MAX_STACK_BYTES}-byte limit")
     stack = np.zeros((len(labels), left.dim, right.dim), dtype=complex)
-    for t, (tmu, tm, alpha) in zip(stack, labels):
-        (tja, va), (tjb, vb) = pairs[alpha]
-        for ia in range(tja + 1):
-            tma = tja - 2 * ia
-            tmb = tma - tm
-            if abs(tmb) > tjb:
-                continue
-            c = _cg_twice(tja, tma, tjb, -tmb, tmu, tm)
-            if c != 0.0:
-                sign = (-1.0) ** ((tjb - tmb) // 2)
-                t += (sign * c) * np.outer(va[:, ia], vb[:, (tjb - tmb) // 2].conj())
-    pair_labels = tuple((tja, tjb) for (tja, _), (tjb, _) in pairs)
-    return TensorOperatorBasis(dict(zip(labels, stack)), left.dim, right.dim, pair_labels,
-                               stack=stack)
+    row = {label: k for k, label in enumerate(labels)}
+    for alpha, (((tja, va), (tjb, vb)), ts) in enumerate(zip(pairs, tmus)):
+        for tM, js, xs in _coupled(tja, va, tjb, vb, ts):
+            stack[[row[(tmu, tM, alpha)] for tmu in js]] = (-1) ** tjb * xs + 0.0   # no -0.0 entries
+    return TensorOperatorBasis(dict(zip(labels, stack)), left.dim, right.dim,
+                               tuple((tja, tjb) for (tja, _), (tjb, _) in pairs), stack=stack)
 
 
 @lru_cache(maxsize=32)
@@ -509,8 +513,7 @@ def tensor_basis_spin_j(j) -> TensorOperatorBasis:
 def tensor_basis_for(rep_or_dec) -> TensorOperatorBasis:
     if isinstance(rep_or_dec, SU2Representation):
         return tensor_basis_general(rep_or_dec)
-    dec = rep_or_dec
-    return _tensor_ops_between(dec, dec)
+    return _tensor_ops_between(rep_or_dec, rep_or_dec)
 
 
 # ---------------------------------------------------------------------------
@@ -595,15 +598,10 @@ def twirl_state(x, rep) -> np.ndarray:
 
 def axial_twirl(rho, j, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
     """(1/2pi) int dtheta e^{-i theta L_axis} rho e^{+i theta L_axis} for spin-j:
-    keeps the m-diagonal stripes in the rotated frame."""
-    tj = _twice(j)
-    rho = _as_matrix(rho)
-    alpha, beta = axis_to_euler(axis)
-    u = wigner_D(HalfInteger(tj), alpha, beta, 0.0)
-    r = u.conj().T @ rho @ u
-    m = tj / 2 - np.arange(tj + 1)
-    mask = m[:, None] == m[None, :]
-    return u @ np.where(mask, r, 0.0) @ u.conj().T
+    keeps the diagonal in the frame where L_axis is diagonal."""
+    u = wigner_D(j, *axis_to_euler(axis), 0.0)
+    r = u.conj().T @ _as_matrix(rho) @ u
+    return u @ np.diag(np.diag(r)) @ u.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -296,9 +296,8 @@ def test_measurement_modes_match_povm_element_modes():
     basis = tensor_basis_general(REP_HALF)
     element_modes = set()
     for m in povm.elements:
-        for (tmu, tm, a) in basis.ops:
-            if abs(basis.coefficient(m, tmu / 2, tm / 2, a)) > 1e-10:
-                element_modes.add((tmu, tm))
+        element_modes |= {label[:2] for label, c in zip(basis.labels, basis.coefficients(m))
+                          if abs(c) > 1e-10}
     assert spec.modes() == element_modes
 
 

@@ -1,3 +1,8 @@
+import math
+import tracemalloc
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -27,8 +32,10 @@ from asymmodes import (
 )
 from asymmodes.su2 import (
     TensorOperatorBasis,
+    _coupling,
     _quadrature_grid,
     _rows,
+    _tensor_ops_between,
     decompose,
     quadrature_mode_components,
     tensor_basis_for,
@@ -80,6 +87,27 @@ def cg_oracle_table(j1, j2):
         return coupled[(tJ, tM)][idx(tm1, tm2)].real
 
     return cg
+
+
+@lru_cache(maxsize=None)
+def _factorial(n: int) -> int:
+    return math.factorial(n)
+
+
+def cg_racah_exact(tj1, tm1, tj2, tm2, tJ, tM) -> float:
+    """<j1 m1; j2 m2 | J M> from Racah's formula over Python integers (twice-values
+    in), independent of the library's eigen-solved table: the squared prefactor and
+    the alternating sum are exact rationals, and the square root is taken at the end."""
+    def f(t):
+        return _factorial(t // 2)
+    pref = Fraction((tJ + 1) * f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(tJ + tj2 - tj1)
+                    * f(tj1 + tm1) * f(tj1 - tm1) * f(tj2 + tm2) * f(tj2 - tm2) * f(tJ + tM) * f(tJ - tM),
+                    f(tj1 + tj2 + tJ + 2))
+    total = sum(Fraction((-1) ** (t // 2), f(t) * f(tj1 + tj2 - tJ - t) * f(tj1 - tm1 - t) * f(tj2 + tm2 - t)
+                         * f(tJ - tj2 + tm1 + t) * f(tJ - tj1 - tm2 + t))
+                for t in range(max(0, tj2 - tJ - tm1, tj1 - tJ + tm2),
+                               min(tj1 + tj2 - tJ, tj1 - tm1, tj2 + tm2) + 1, 2))
+    return math.copysign(math.sqrt(total * total * pref), total)
 
 
 def su2_euler_compose(g1, g2):
@@ -172,9 +200,57 @@ def test_cg_orthogonality(j1, j2):
             assert s == pytest.approx(expected, abs=1e-12)
 
 
+def test_cg_inputs_that_are_not_spins_raise():
+    for args in [(-1, 0, 1, 0, 0, 0), (1, 0, -1, 0, 0, 0), (1, 0, 1, 0, -2, 0),
+                 (float("inf"), 0, 1, 0, 1, 0), (1, float("nan"), 1, 0, 1, 0)]:
+        with pytest.raises(ValueError, match="spin j must be >= 0|is not a half-integer"):
+            clebsch_gordan(*args)
+
+
+@pytest.mark.parametrize("tja,tjb", [(40, 40), (80, 80), (120, 120), (120, 15)])
+def test_coupling_table_matches_exact_racah(tja, tjb):
+    """Every column whose ma = ja entry is below 1e-12 (where a sign taken from that
+    edge entry would be noise) is checked at its largest entry, and a 2% sample of
+    the other columns at the edge, the largest and one random entry."""
+    table = _coupling(tja, tjb)
+    rng = np.random.default_rng(tja + tjb)
+    worst, n_faint = 0.0, 0
+    for tM, c in table.items():
+        assert c.shape[0] == c.shape[1] and not c.flags.writeable
+        top, tjmin = min(tja, tM + tjb), max(abs(tM), abs(tja - tjb))
+        for k in range(c.shape[1]):
+            faint = abs(c[0, k]) < 1e-12
+            n_faint += faint
+            if faint:
+                rows = {int(np.argmax(np.abs(c[:, k])))}
+            elif rng.random() < 0.02:
+                rows = {0, int(np.argmax(np.abs(c[:, k]))), int(rng.integers(len(c)))}
+            else:
+                continue
+            for i in rows:
+                tma = top - 2 * i
+                exact = cg_racah_exact(tja, tma, tjb, tM - tma, tjmin + 2 * k, tM)
+                worst = max(worst, abs(c[i, k] - exact))
+    assert worst <= 1e-13
+    assert (n_faint > 0) == (tja >= 80 and tjb >= 80)   # 316 and 1654 faint columns
+    with pytest.raises(TypeError):
+        table[0] = None
+
+
+def test_clebsch_gordan_matches_exact_racah():
+    for args in [(3, 1, 2, 0, 3, 1), (5, -5, 5, 5, 8, 0), (120, 60, 15, -7, 115, 53), (7, 1, 4, 2, 9, 3)]:
+        assert clebsch_gordan(*(t / 2 for t in args)) == pytest.approx(cg_racah_exact(*args), abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Wigner matrices
 # ---------------------------------------------------------------------------
+
+def test_wigner_rejects_negative_spin():
+    for call in (lambda: wigner_d(-1, 0.3), lambda: wigner_D(-0.5, 0, 0.3, 0), lambda: angular_momentum(-1)):
+        with pytest.raises(ValueError, match="spin j must be >= 0"):
+            call()
+
 
 def test_wigner_beta_zero_is_phases():
     d = wigner_D(1.5, 0.4, 0.0, 1.1)
@@ -275,6 +351,60 @@ def test_spin_j_basis_covariance_and_gram(j):
     angles = haar_angles(np.random.default_rng(30), 20)
     assert covariance_residual(basis, rep, rep, angles) < 1e-10
     assert orthonormality_residual(basis) < 1e-12
+
+
+def test_spin_25_basis_gram_and_covariance():
+    """The spin-25 Gram residual, one m at a time: row (mu, m) is exactly zero off
+    the band ma - mb = m, so rows of different m are exactly orthogonal."""
+    rep = SU2Representation.spin(25)
+    basis = tensor_basis_for(decompose(rep))   # uncached: the 108 MB stack is freed after the test
+    flat = basis.stack.reshape(len(basis.labels), -1)
+    tms = np.array([tm for _, tm, _ in basis.labels])
+    dm = np.subtract.outer(rep.twice_m, rep.twice_m).reshape(-1)
+    worst = 0.0
+    for tm in range(-50, 51, 2):
+        rows = flat[tms == tm]
+        assert not rows[:, dm != tm].any()
+        band = rows[:, dm == tm]
+        worst = max(worst, float(np.abs(band.conj() @ band.T - np.eye(len(band))).max()))
+    assert worst <= 1e-13
+    assert covariance_residual(basis, rep, rep, haar_angles(np.random.default_rng(44), 1)) <= 1e-10
+
+
+def test_oversized_basis_raises_before_allocating():
+    dec = decompose(SU2Representation.spin(60))   # a 3.4 GB stack of 121^4 complex entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"needs 3429742096 bytes, over the \d+-byte limit"):
+            tensor_basis_for(dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("make_pair", [
+    lambda: (SU2Representation.spin(1.5), SU2Representation.spin(1.5)),
+    lambda: (SU2Representation.spin(1), SU2Representation(((1, 2), (4, 1)))),
+    lambda: (SU2Representation(((2, 2),)), SU2Representation.spin(0.5)),
+    lambda: (decompose(SU2Representation.spin(0.5)).tensor(decompose(SU2Representation.spin(1))),
+             SU2Representation.spin(1)),
+], ids=["square", "rectangular", "multiplicity", "nested"])
+def test_basis_rows_are_the_coupling_of_left_and_conjugate_right(make_pair):
+    """Row (mu, m, alpha) of a basis is |mu m> of the alpha-th irrep pair of
+    left x conj(right), reshaped to an operator and multiplied by (-1)^(2 jb)."""
+    left, right = map(decompose, make_pair())
+    basis = _tensor_ops_between(left, right)
+    coupled = iter(left.tensor(right.conjugate()).components)   # pair-major, J ascending
+    expected = {}
+    for alpha, (tja, tjb) in enumerate(basis.pair_labels):
+        for tmu in range(abs(tja - tjb), tja + tjb + 1, 2):
+            tj, iso = next(coupled)
+            assert tj == tmu
+            for im in range(tmu + 1):   # column im holds m = mu - im
+                expected[(tmu, tmu - 2 * im, alpha)] = (-1) ** tjb * iso[:, im].reshape(left.dim, right.dim)
+    assert expected.keys() == basis.ops.keys()
+    assert max(float(np.abs(basis.ops[key] - op).max()) for key, op in expected.items()) <= 1e-15
 
 
 def test_representation_rejects_non_integer_and_empty_blocks():
