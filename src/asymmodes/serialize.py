@@ -8,6 +8,8 @@ as {"blocks": [{"twice_j": t, "mult": m}, ...]}.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -111,8 +113,73 @@ def load_json(path: str):
         return json.load(fh)
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: int, float, bool and None keys become strings."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):    # bool is an int
+        return f'"{_encode(key, "", set())}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(obj, pad: str, open_ids: set) -> str:
+    """obj as json.dumps lays it out with a two-space indent and sorted keys,
+    inside a container indented by pad.  An indent turns json's C encoder off, so
+    json formats every float in Python; here a list of finite floats is one join.
+    open_ids holds the containers being written, to refuse cycles as json does."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, dict):
+        opener, closer = "{}"
+    elif isinstance(obj, (list, tuple)):
+        opener, closer = "[]"
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    if not obj:
+        return opener + closer
+    if id(obj) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(obj))
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        body = sep.join(f"{_key_text(k)}: {_encode(v, inner, open_ids)}" for k, v in sorted(obj.items()))
+    else:
+        try:
+            body = sep.join(map(float.__repr__, obj))
+            finite = "n" not in body    # of float reprs only "nan" and "inf" hold an n
+        except TypeError:               # an item is not a float
+            finite = False
+        if not finite:
+            body = sep.join([_encode(item, inner, open_ids) for item in obj])
+    open_ids.discard(id(obj))
+    return f"{opener}\n{inner}{body}\n{pad}{closer}"
+
+
 def dump_json(obj, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The text of json.dumps(obj, sort_keys=True) with a two-space indent, byte
+    for byte, plus a newline; written to path when one is given."""
+    text = _encode(obj, "", set()) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

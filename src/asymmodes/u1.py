@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -194,10 +195,20 @@ def weighted_twirl(rho, rep: U1Representation, weights: FourierWeights) -> np.nd
     with density p; entry-wise this is rho_{rc} * p_{-(n_r - n_c)}."""
     rho = _as_matrix(rho)
     _check_dims(rho, rep)
-    diffs = rep.charge_diffs()
-    ks, inverse = np.unique(diffs, return_inverse=True)
-    lut = np.array([weights.coefficient(-int(k)) for k in ks])
-    return lut[inverse].reshape(diffs.shape) * rho
+    ks, inverse = _diff_classes(rep.charges)
+    lut = np.array([weights.coefficient(-k) for k in ks])
+    return lut[inverse] * rho
+
+
+@lru_cache(maxsize=32)
+def _diff_classes(charges: tuple) -> tuple:
+    """The distinct charge differences n_r - n_c, as ints, and the (d, d) index of
+    each entry's difference among them; built once per charges, read-only."""
+    n = np.asarray(charges)
+    ks, inverse = np.unique(n[:, None] - n[None, :], return_inverse=True)
+    inverse = inverse.reshape(len(n), len(n))
+    inverse.flags.writeable = False
+    return tuple(ks.tolist()), inverse
 
 
 @dataclass(frozen=True)
@@ -301,7 +312,7 @@ def pure_mode_norm(psi, k: int) -> float:
     k = abs(int(k))
     if k >= psi.size:
         return 0.0
-    return float(np.sum(psi[k:] * psi[: psi.size - k]))
+    return float(np.add.reduce(psi[k:] * psi[: psi.size - k]))
 
 
 def amplifier_envelope(alpha: complex, alpha_prime: complex, k: int) -> float:

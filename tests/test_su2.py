@@ -454,6 +454,19 @@ def test_general_basis_reducible_covariance(blocks):
     assert len(basis.ops) == rep.dim ** 2
 
 
+def test_orthonormality_residual_off_band_rows_take_the_full_gram():
+    """Rows on a block representation that leave their band ma - mb = m can overlap
+    rows of another m, which a per-m Gram would miss."""
+    rep = SU2Representation.spin(1)
+    basis = tensor_basis_general(rep)
+    u = wigner_D(1, 0.3, 1.1, -0.4)
+    rotated = {k: u @ t @ u.conj().T for k, t in basis.ops.items()}
+    assert orthonormality_residual(TensorOperatorBasis(rotated, 3, 3, basis.pair_labels, rep=rep)) < 1e-12
+    mixed = dict(basis.ops)
+    mixed[(2, 0, 0)] = mixed[(2, 0, 0)] + 0.5 * mixed[(2, 2, 0)]
+    assert orthonormality_residual(TensorOperatorBasis(mixed, 3, 3, basis.pair_labels, rep=rep)) == pytest.approx(0.5)
+
+
 @pytest.mark.parametrize("blocks", [((1, 2), (3, 1)), ((4, 2), (3, 1), (2, 1), (0, 2))])
 def test_block_rep_keeps_the_block_layout(blocks):
     """unitary and generator_lz are block diagonals of D^j x I_mult and Lz x I_mult."""

@@ -163,6 +163,17 @@ def test_weighted_twirl_kills_targeted_mode():
     DensityMatrix.from_array(sigma)
 
 
+def test_weighted_twirl_matches_entrywise_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    weights = FourierWeights.gaussian(0.4, mean=0.3)
+    for charges in [(0, 1, 3), (2, -1, 2, 0, -1, 5), tuple(range(12))]:
+        rep = U1Representation(charges)
+        rho = rand_state(rng, rep.dim)
+        expected = np.array([[weights.coefficient(-(nr - nc)) for nc in charges] for nr in charges]) * rho
+        for _ in range(2):   # the second call reuses the cached difference classes
+            assert np.array_equal(weighted_twirl(rho, rep, weights), expected)
+
+
 def test_weighted_twirl_rejects_bad_normalization():
     with pytest.raises(ValueError):
         FourierWeights.from_map({0: 0.7})
