@@ -21,6 +21,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import product
 from types import MappingProxyType
 
 import numpy as np
@@ -468,7 +469,7 @@ class TensorOperatorBasis:
         return _expand(self.coefficients(x), self.stack)
 
 
-_MAX_STACK_BYTES = 2**29   # largest dense operator stack (bytes) a basis build allocates
+_MAX_STACK_BYTES = 2**29   # largest dense operator stack (bytes) a basis build or oracle allocates
 
 
 def _tensor_ops_between(left: DecomposedRep, right: DecomposedRep,
@@ -478,7 +479,7 @@ def _tensor_ops_between(left: DecomposedRep, right: DecomposedRep,
     components as an operator, times (-1)^(2 jb).  Restricting `ranks` (a set of
     twice-mu) builds only those multiplets.  Rows are filled in place; stacking
     separate matrices would double peak memory."""
-    pairs = [(p, q) for p in left.components for q in right.conjugate().components]
+    pairs = list(product(left.components, right.conjugate().components))
     tmus = [[tmu for tmu in range(abs(tja - tjb), tja + tjb + 1, 2) if ranks is None or tmu in ranks]
             for (tja, _), (tjb, _) in pairs]
     labels = sorted((tmu, tmu - 2 * im, alpha)
@@ -526,53 +527,37 @@ def so3_mode_project(x, rep, mu, m, basis: TensorOperatorBasis | None = None) ->
     return basis.component(_as_matrix(x), mu, m)
 
 
-def _quadrature_grid(t_band: int):
-    """Product grid exact for integrands with twice-band-limit t_band:
-    alpha, gamma uniform on [0, 4pi), beta Gauss-Legendre in cos(beta)."""
-    n_ag = t_band + 3
-    xs, ws = np.polynomial.legendre.leggauss(t_band // 2 + 2)
-    return n_ag, np.arccos(xs), ws
-
-
-_QUADRATURE_CHUNK_ENTRIES = 2**18   # rotated-grid entries (points x operators x d^2) held at once
-
-
 def quadrature_mode_components(xs, rep, modes) -> dict:
-    """Group-average oracle: (mu,m) components d_mu int dg conj(u^mu_mm) U X U^dag
-    for a batch of operators, in one pass over the quadrature grid (uniform
-    alpha,gamma on [0,4pi), Gauss-Legendre in cos beta; exact by band limitation).
-    U = W B W^dag, so the average runs on W^dag X W in the block form B, where
-    B(a,b,g) = e^{-ia m} * d(b) * e^{-ig m} elementwise.  The batch is rotated in
-    chunks of about _QUADRATURE_CHUNK_ENTRIES grid entries.
-
-    xs: array (n, d, d); modes: iterable of (twice_mu, twice_m).
-    Returns {(tmu, tm): array (n, d, d)}.
+    """Group-average oracle: (mu,m) components d_mu int dg conj(D^mu_mm(g)) U X U^dag of an
+    operator or a batch (n, d, d), as {(tmu, tm): array} over modes of (twice_mu, twice_m).
+    In the block form U = W B W^dag, B(a,b,g) = e^{-ia Lz} d(b) e^{-ig Lz} multiplies
+    Y = W^dag X W at (a, b) by e^{-i(a+g)(ma-mb)}, so the alpha and gamma averages
+    against conj(D^mu_mm) are exactly the Lz band mask P_m (keep ma - mb = m).  One
+    Gauss-Legendre sum in cos(beta) is left, exact by band limitation, with no coupling table:
+        X^(mu,m) = W P_m[(2mu+1)/2 sum_b w_b conj(d^mu_mm(b)) d(b) P_m(Y) d(b)^dag] W^dag,
+    each product shared by the ranks of one m.  Raises ValueError over _MAX_STACK_BYTES.
     """
     xs = np.asarray(xs, dtype=complex)
-    single = xs.ndim == 2
     modes = [(int(a), int(b)) for a, b in modes]
+    if (nbytes := 16 * len(modes) * xs.size) > _MAX_STACK_BYTES:
+        raise ValueError(f"{len(modes)} mode components of operators of shape {xs.shape} need "
+                         f"{nbytes} bytes, over the {_MAX_STACK_BYTES}-byte limit")
     w, block = decompose(rep).block_form()
-    ys = w.conj().T @ (xs[None] if single else xs) @ w
-    t_band = 2 * block.max_twice_j + max(tmu for tmu, _ in modes)
-    n_ag, betas, wbetas = _quadrature_grid(t_band)
-    angles = 4 * np.pi * np.arange(n_ag) / n_ag
-    ph = np.exp(-1j * np.outer(angles, block.twice_m / 2))       # (n_ag, d)
-    pair = (ph[:, None, :, None] * ph[None, :, None, :]).reshape(n_ag * n_ag, block.dim, block.dim)
-    pm = np.exp(1j * np.outer([tm / 2 for _, tm in modes], angles))
-    mode_phase = (pm[:, :, None] * pm[:, None, :]).reshape(len(modes), -1)   # conj(e^{-i(a+g)m})
-    out = np.zeros((len(modes),) + ys.shape, dtype=complex)
-    step = max(1, _QUADRATURE_CHUNK_ENTRIES // pair.size)
-    for bb, wb in zip(betas, wbetas):
-        ub = pair * block.little_d(bb)[None, :, :]                     # (G, d, d)
-        dmu_b = {tmu: wigner_d(HalfInteger(tmu), bb) for tmu in {tmu for tmu, _ in modes}}
-        diag = np.array([dmu_b[tmu][(tmu - tm) // 2, (tmu - tm) // 2] for tmu, tm in modes])
-        weights = wb * mode_phase * np.conj(diag)[:, None]                 # (modes, G)
-        for lo in range(0, len(ys), step):
-            rotated = np.einsum("gab,nbc,gdc->gnad", ub, ys[lo:lo + step], ub.conj(), optimize=True)
-            out[:, lo:lo + step] += np.tensordot(weights, rotated, axes=1)
-    scale = np.array([(tmu + 1) / (2 * n_ag * n_ag) for tmu, _ in modes])
-    out = w @ (scale[:, None, None, None] * out) @ w.conj().T
-    return {mode: v[0] if single else v for mode, v in zip(modes, out)}
+    ys = w.conj().T @ (xs[None] if xs.ndim == 2 else xs) @ w
+    band = {tm: np.subtract.outer(block.twice_m, block.twice_m) == tm for tm in {tm for _, tm in modes}}
+    cos_b, w_b = np.polynomial.legendre.leggauss(block.max_twice_j + max(tmu for tmu, _ in modes) // 2 + 2)
+    out = [np.zeros(ys.shape, dtype=complex) for _ in modes]
+    for bb, wb in zip(np.arccos(cos_b), w_b):
+        d = block.little_d(bb)
+        d_mu = {tmu: wigner_d(HalfInteger(tmu), bb) for tmu in {tmu for tmu, _ in modes}}
+        for tm, mask in band.items():
+            rotated = d @ (ys * mask) @ d.conj().T
+            for acc, (tmu, t) in zip(out, modes):
+                if t == tm:
+                    acc += wb * (tmu + 1) / 2 * np.conj(d_mu[tmu][(tmu - tm) // 2, (tmu - tm) // 2]) * rotated
+    for i, (_, tm) in enumerate(modes):
+        out[i] = w @ (out[i] * band[tm]) @ w.conj().T
+    return {mode: v[0] if xs.ndim == 2 else v for mode, v in zip(modes, out)}
 
 
 def so3_mode_project_quadrature(x, rep, mu, m) -> np.ndarray:

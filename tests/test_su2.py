@@ -33,7 +33,6 @@ from asymmodes import (
 from asymmodes.su2 import (
     TensorOperatorBasis,
     _coupling,
-    _quadrature_grid,
     _rows,
     _tensor_ops_between,
     decompose,
@@ -279,7 +278,8 @@ def test_wigner_homomorphism(j):
 
 
 def test_wigner_schur_orthogonality():
-    n_ag, betas, wbetas = _quadrature_grid(10)
+    n_ag, (cos_b, wbetas) = 13, np.polynomial.legendre.leggauss(7)
+    betas = np.arccos(cos_b)
     angles = 4 * np.pi * np.arange(n_ag) / n_ag
     for tmu, tnu in [(2, 2), (2, 4), (3, 3), (4, 4), (1, 3)]:
         acc = np.zeros((3, 3), dtype=complex)
@@ -381,6 +381,30 @@ def test_oversized_basis_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_oversized_quadrature_raises_before_allocating():
+    rep = SU2Representation.spin(40)
+    modes = [(tmu, tmu - 2 * im) for tmu in range(0, 161, 2) for im in range(tmu + 1)]
+    x = np.eye(rep.dim, dtype=complex)
+    message = r"6561 mode components .* need 688747536 bytes, over the \d+-byte limit"   # of 81 x 81: 688 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            quadrature_mode_components(x, rep, modes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_basis_build_conjugates_the_right_rep_once(monkeypatch):
+    calls = []
+    conjugate = DecomposedRep.conjugate
+    monkeypatch.setattr(DecomposedRep, "conjugate", lambda self: calls.append(self) or conjugate(self))
+    dec = decompose(SU2Representation(((1, 2), (3, 1))))
+    _tensor_ops_between(dec, dec)
+    assert calls == [dec]
 
 
 @pytest.mark.parametrize("make_pair", [
@@ -530,6 +554,54 @@ def test_mode_project_quadrature_dual_path():
         a = so3_mode_project(x, rep, mu, m)
         b = so3_mode_project_quadrature(x, rep, mu, m)
         assert np.abs(a - b).max() < 1e-8
+
+
+@pytest.mark.parametrize("make_rep", [
+    lambda rng: SU2Representation.spin(1),
+    lambda rng: SU2Representation.spin(1.5),
+    lambda rng: SU2Representation(((1, 1), (2, 1))),
+    lambda rng: _rotated_isometries(decompose(SU2Representation(((1, 1), (2, 1)))), rng),
+], ids=["spin-1", "spin-3/2", "1x1.2x1", "rotated-1x1.2x1"])
+def test_quadrature_matches_the_literal_three_angle_average(make_rep, monkeypatch):
+    """The oracle's alpha and gamma band masks against the average they replace:
+    U X U^dag weighted by conj(D^mu_mm) on a uniform alpha, gamma x Gauss-Legendre
+    beta grid, exact because the integrand's twice-frequencies are at most t_band."""
+    rng = np.random.default_rng(45)
+    rep = make_rep(rng)
+    basis = tensor_basis_for(rep)
+    xs = rng.normal(size=(2, rep.dim, rep.dim)) + 1j * rng.normal(size=(2, rep.dim, rep.dim))
+    t_band = 2 * rep.max_twice_j + max(basis.ranks())
+    angles = 4 * np.pi * np.arange(t_band + 1) / (t_band + 1)
+    cos_b, w_b = np.polynomial.legendre.leggauss(t_band // 2 + 2)
+    want = {mode: np.zeros_like(xs) for mode in basis.modes}
+    for aa in angles:
+        for bb, wb in zip(np.arccos(cos_b), w_b):
+            for gg in angles:
+                u = rep.unitary(aa, bb, gg)
+                rotated = u @ xs @ u.conj().T
+                d_mu = {tmu: wigner_D(tmu / 2, aa, bb, gg) for tmu in basis.ranks()}
+                for tmu, tm in basis.modes:
+                    k = (tmu - tm) // 2
+                    want[(tmu, tm)] += (tmu + 1) / 2 * wb * np.conj(d_mu[tmu][k, k]) * rotated
+    monkeypatch.delattr(su2_module, "_coupling")   # the oracle is independent of the coupling table
+    got = quadrature_mode_components(xs, rep, basis.modes)
+    for mode in basis.modes:
+        assert np.abs(want[mode] / len(angles) ** 2 - got[mode]).max() < 1e-12
+
+
+def test_quadrature_peak_memory_is_near_its_output():
+    rep = SU2Representation(((4, 2), (3, 1), (2, 1), (0, 2)))
+    modes = tensor_basis_general(rep).modes
+    rng = np.random.default_rng(46)
+    xs = rng.normal(size=(50, rep.dim, rep.dim)) + 1j * rng.normal(size=(50, rep.dim, rep.dim))
+    quadrature_mode_components(xs[:1], rep, modes)   # warms the cached decomposition and little-d
+    tracemalloc.start()
+    try:
+        out = quadrature_mode_components(xs, rep, modes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sum(v.nbytes for v in out.values())
 
 
 def test_mode_reconstruction_and_parseval():
@@ -686,18 +758,6 @@ def test_mode_stack_of_a_row_prefix(blocks):
         prefix = basis.mode_stack(x, _rows(basis.labels, tmu).stop)
         assert prefix.shape == (n, d, d)
         assert np.abs(prefix - full[:n]).max() < 1e-14
-
-
-def test_quadrature_chunks_agree_with_one_pass(monkeypatch):
-    rep = SU2Representation(((1, 2), (3, 1)))
-    rng = np.random.default_rng(43)
-    xs = rng.normal(size=(5, rep.dim, rep.dim)) + 1j * rng.normal(size=(5, rep.dim, rep.dim))
-    modes = tensor_basis_general(rep).modes
-    monkeypatch.setattr(su2_module, "_QUADRATURE_CHUNK_ENTRIES", 2**40)
-    whole = quadrature_mode_components(xs, rep, modes)
-    monkeypatch.setattr(su2_module, "_QUADRATURE_CHUNK_ENTRIES", 1)   # one operator per chunk
-    chunked = quadrature_mode_components(xs, rep, modes)
-    assert max(float(np.abs(chunked[mode] - whole[mode]).max()) for mode in modes) < 1e-14
 
 
 @pytest.mark.parametrize("j", [1, 1.5])
