@@ -469,7 +469,7 @@ class TensorOperatorBasis:
         return _expand(self.coefficients(x), self.stack)
 
 
-_MAX_STACK_BYTES = 2**29   # largest dense operator stack (bytes) a basis build or oracle allocates
+_MAX_STACK_BYTES = 2**29   # bytes of the largest dense stack a basis build or the quadrature oracle allocates
 
 
 def _tensor_ops_between(left: DecomposedRep, right: DecomposedRep,
