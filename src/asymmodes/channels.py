@@ -288,42 +288,40 @@ def _precompose(liou: np.ndarray, corr: np.ndarray) -> np.ndarray:
     return liou @ (corr[:, None, :, None] * corr.conj()[None, :, None, :]).reshape(d * d, d * d)
 
 
+def _random_covariant_maps(in_rep, out_rep, rng: np.random.Generator, n_maps: int, n_kraus: int,
+                           twirl_basis: TensorOperatorBasis | None, max_tries: int, kind: str) -> list:
+    """Liouville matrices of n_maps twirled random CP maps of n_kraus Kraus operators each,
+    made to sum to a channel by one invariant pre-correction (redrawing them all when the
+    correction is not PSD-safe).  Block representations read the cached twirl basis."""
+    d_in, d_out = in_rep.dim, out_rep.dim
+    basis = twirl_basis or superop_twirl_basis(in_rep, out_rep)
+    for _ in range(max_tries):
+        maps = []
+        for _ in range(n_maps):
+            kraus = [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
+                     for _ in range(n_kraus)]
+            maps.append(basis.component(channel_from_kraus(kraus).liouville, 0, 0))
+        corr = _trace_correction(maps, d_in, d_out)
+        if corr is not None:
+            return [_precompose(liou, corr) for liou in maps]
+    raise RuntimeError(f"failed to draw a PSD-safe covariant {kind}")
+
+
 def random_covariant_channel(in_rep, out_rep, rng: np.random.Generator,
                              n_kraus: int = 3, twirl_basis: TensorOperatorBasis | None = None,
                              max_tries: int = 20) -> Superoperator:
     """Random rotationally covariant channel: twirl of a random CP map, made
     trace preserving by an invariant pre-correction (resampling when the
     correction is not PSD-safe)."""
-    dec_in = decompose(in_rep)
-    dec_out = decompose(out_rep)
-    d_in, d_out = dec_in.dim, dec_out.dim
-    twirl_basis = twirl_basis or superop_twirl_basis(dec_in, dec_out)
-    for _ in range(max_tries):
-        kraus = [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
-                 for _ in range(n_kraus)]
-        cov = twirl_superop(channel_from_kraus(kraus), dec_in, dec_out, basis=twirl_basis)
-        corr = _trace_correction([cov.liouville], d_in, d_out)
-        if corr is not None:
-            return Superoperator(_precompose(cov.liouville, corr), d_in, d_out, trace_preserving=True)
-    raise RuntimeError("failed to draw a PSD-safe covariant channel")
+    liou, = _random_covariant_maps(in_rep, out_rep, rng, 1, n_kraus, twirl_basis, max_tries, "channel")
+    return Superoperator(liou, in_rep.dim, out_rep.dim, trace_preserving=True)
 
 
 def random_covariant_instrument(in_rep, out_rep, rng: np.random.Generator,
                                 n_outcomes: int = 2, max_tries: int = 20) -> list:
     """Covariant CP maps (one per flagged outcome) summing to a channel."""
-    dec_in = decompose(in_rep)
-    dec_out = decompose(out_rep)
-    d_in, d_out = dec_in.dim, dec_out.dim
-    basis = superop_twirl_basis(dec_in, dec_out)
-    for _ in range(max_tries):
-        parts = []
-        for _ in range(n_outcomes):
-            k = rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
-            parts.append(twirl_superop(channel_from_kraus([k]), dec_in, dec_out, basis=basis).liouville)
-        corr = _trace_correction(parts, d_in, d_out)
-        if corr is not None:
-            return [Superoperator(_precompose(p, corr), d_in, d_out) for p in parts]
-    raise RuntimeError("failed to draw a PSD-safe covariant instrument")
+    maps = _random_covariant_maps(in_rep, out_rep, rng, n_outcomes, 1, None, max_tries, "instrument")
+    return [Superoperator(liou, in_rep.dim, out_rep.dim) for liou in maps]
 
 
 @dataclass(frozen=True)

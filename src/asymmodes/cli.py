@@ -32,21 +32,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _num_key(half_twice: int):
-    return half_twice // 2 if half_twice % 2 == 0 else half_twice / 2
-
-
-class _InputError(Exception):
-    pass
-
-
 def _load(path: str):
     try:
         return serialize.load_json(path)
     except FileNotFoundError:
-        raise _InputError(f"{path}: no such file")
+        raise ValueError(f"{path}: no such file")
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
 def _emit(text: str, out: str | None):
@@ -103,7 +95,7 @@ def cmd_su2_channel_reduce(args) -> int:
     in_rep = serialize.rep_from_json(_load(args.in_rep))
     out_rep = serialize.rep_from_json(_load(args.out_rep))
     if chan.in_dim != in_rep.dim or chan.out_dim != out_rep.dim:
-        raise _InputError(
+        raise ValueError(
             f"channel dims ({chan.in_dim} -> {chan.out_dim}) do not match representations "
             f"({in_rep.dim} -> {out_rep.dim})")
     coeffs, residual = reduce_covariant(chan, tensor_basis_general(in_rep),
@@ -111,11 +103,11 @@ def cmd_su2_channel_reduce(args) -> int:
     payload = {
         "residual": residual,
         "coefficients": {
-            str(_num_key(tmu)): [[v.real for v in row] for row in block]
+            str(serialize._num(tmu)): [[v.real for v in row] for row in block]
             for tmu, block in sorted(coeffs.mu_blocks.items())
         },
         "coefficients_imag": {
-            str(_num_key(tmu)): [[v.imag for v in row] for row in block]
+            str(serialize._num(tmu)): [[v.imag for v in row] for row in block]
             for tmu, block in sorted(coeffs.mu_blocks.items())
         },
     }
@@ -128,11 +120,11 @@ def cmd_su2_monotones(args) -> int:
     rep = serialize.rep_from_json(_load(args.rep))
     state = serialize.state_from_json(_load(args.state), tol=max(tol, 1e-9))
     if state.dim != rep.dim:
-        raise _InputError(f"state dim {state.dim} does not match representation dim {rep.dim}")
+        raise ValueError(f"state dim {state.dim} does not match representation dim {rep.dim}")
     table = mode_monotone_table(state.matrix, rep)
     lines = ["mu,m,F"]
     for (tmu, tm), value in sorted(table.entries.items()):
-        lines.append(f"{_num_key(tmu)},{_num_key(tm)},{_fmt(value)}")
+        lines.append(f"{serialize._num(tmu)},{serialize._num(tm)},{_fmt(value)}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -141,7 +133,7 @@ def cmd_su2_psucc(args) -> int:
     tol = _default_tol(args)
     state = serialize.state_from_json(_load(args.state), tol=max(tol, 1e-9))
     if state.dim != args.twice_j + 1:
-        raise _InputError(f"state dim {state.dim} does not match twice-j {args.twice_j}")
+        raise ValueError(f"state dim {state.dim} does not match twice-j {args.twice_j}")
     res = distinguish_success_probability(state.matrix, args.twice_j / 2, oracle=args.oracle)
     payload = {"formula": res.formula}
     if res.oracle is not None:
@@ -155,12 +147,12 @@ def cmd_rf_degrade(args) -> int:
     model = serialize.degradation_from_json(_load(args.coeffs))
     state = serialize.state_from_json(_load(args.state), tol=max(tol, 1e-9))
     if state.dim != model.twice_j + 1:
-        raise _InputError(f"state dim {state.dim} does not match twice-j {model.twice_j}")
+        raise ValueError(f"state dim {state.dim} does not match twice-j {model.twice_j}")
     traj = degrade_trajectory(state.matrix, model, args.steps)
     lines = ["k,mu,m,value"]
     for step in traj.steps:
         for (tmu, tm), v in sorted(step.tensor_expectations.items()):
-            lines.append(f"{step.k},{_num_key(tmu)},{_num_key(tm)},{_fmt(v.real)}")
+            lines.append(f"{step.k},{serialize._num(tmu)},{serialize._num(tm)},{_fmt(v.real)}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -183,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="numerical tolerance (default 1e-10; env ASYMMODES_TOL)")
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomized subcommand")
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     p = argparse.ArgumentParser(prog="asymmodes",
@@ -243,9 +234,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -423,6 +423,8 @@ class TensorOperatorBasis:
         """||T_k||_1 of every row k of a basis on a block representation, from one
         sector_trace_norms call: row (mu, m, alpha) shifts every Lz sector by m.
         Built once per instance, read-only."""
+        if self.rep is None:
+            raise ValueError("row_trace_norms needs a basis on a block representation (rep is None)")
         norms = sector_trace_norms(self.stack, self.rep.twice_m)
         shifts = [tm + norms.shape[1] // 2 for _, tm, _ in self.labels]
         return _read_only(norms[np.arange(len(norms)), shifts])
@@ -545,7 +547,8 @@ def quadrature_mode_components(xs, rep, modes) -> dict:
     w, block = decompose(rep).block_form()
     ys = w.conj().T @ (xs[None] if xs.ndim == 2 else xs) @ w
     band = {tm: np.subtract.outer(block.twice_m, block.twice_m) == tm for tm in {tm for _, tm in modes}}
-    cos_b, w_b = np.polynomial.legendre.leggauss(block.max_twice_j + max(tmu for tmu, _ in modes) // 2 + 2)
+    max_tmu = max((tmu for tmu, _ in modes), default=0)
+    cos_b, w_b = np.polynomial.legendre.leggauss(block.max_twice_j + max_tmu // 2 + 2)
     out = [np.zeros(ys.shape, dtype=complex) for _ in modes]
     for bb, wb in zip(np.arccos(cos_b), w_b):
         d = block.little_d(bb)

@@ -88,8 +88,7 @@ def mode_norms(x, rep: U1Representation) -> np.ndarray:
 
 def modes_of(x, rep: U1Representation, tol: float = DEFAULT_TOL) -> set:
     """Set of modes k with ||x^(k)|| above tol."""
-    ks = range(-rep.spread, rep.spread + 1)
-    return {k for k, nrm in zip(ks, mode_norms(x, rep).tolist()) if nrm > tol}
+    return set(mode_spectrum(x, rep, tol).norms)
 
 
 class _ModeComponents(Mapping):

@@ -33,7 +33,14 @@ from asymmodes import (
     twirl_superop,
     wigner_D,
 )
-from asymmodes.channels import CovariantChannelCoefficients, _apply_blocks, _precompose
+from asymmodes.channels import (
+    CovariantChannelCoefficients,
+    _apply_blocks,
+    _precompose,
+    _superop_basis,
+    random_covariant_instrument,
+    superop_twirl_basis,
+)
 from asymmodes.su2 import _rows
 
 REP_HALF = SU2Representation.spin(0.5)
@@ -354,6 +361,30 @@ def test_random_covariant_channel_is_cptp_and_covariant():
         rho = random_density_matrix(in_rep.dim, rng)
         assert np.trace(apply_superop(chan, rho)) == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(choi_matrix(chan)).min() > -1e-10
+
+
+def test_random_draws_build_the_twirl_basis_once_per_pair():
+    in_rep, out_rep = SU2Representation.spin(1.5), SU2Representation(((1, 1), (3, 1)))
+    before = _superop_basis.cache_info()
+    for seed in range(2):
+        random_covariant_channel(in_rep, out_rep, np.random.default_rng(seed))
+        random_covariant_instrument(in_rep, out_rep, np.random.default_rng(seed))
+    after = _superop_basis.cache_info()
+    misses, hits = after.misses - before.misses, after.hits - before.hits
+    assert misses <= 1 and misses + hits == 4
+
+
+@pytest.mark.parametrize("in_rep, out_rep", [(REP_ONE, REP_ONE), (REP_HALF, SU2Representation(((1, 2),)))])
+def test_random_draws_do_not_depend_on_how_the_twirl_basis_is_given(in_rep, out_rep):
+    dec_in, dec_out = decompose(in_rep), decompose(out_rep)
+    uncached = superop_twirl_basis(dec_in, dec_out)
+    chans = [random_covariant_channel(in_rep, out_rep, np.random.default_rng(5)),
+             random_covariant_channel(in_rep, out_rep, np.random.default_rng(5), twirl_basis=uncached),
+             random_covariant_channel(dec_in, dec_out, np.random.default_rng(5))]
+    assert all(np.array_equal(c.liouville, chans[0].liouville) for c in chans)
+    block = random_covariant_instrument(in_rep, out_rep, np.random.default_rng(5), n_outcomes=3)
+    decomposed = random_covariant_instrument(dec_in, dec_out, np.random.default_rng(5), n_outcomes=3)
+    assert all(np.array_equal(a.liouville, b.liouville) for a, b in zip(block, decomposed, strict=True))
 
 
 def test_parameter_count_spin_half_channel():

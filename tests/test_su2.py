@@ -589,6 +589,13 @@ def test_quadrature_matches_the_literal_three_angle_average(make_rep, monkeypatc
         assert np.abs(want[mode] / len(angles) ** 2 - got[mode]).max() < 1e-12
 
 
+def test_quadrature_of_no_modes_is_empty():
+    rep = SU2Representation.spin(1)
+    x = np.arange(9.0).reshape(3, 3)
+    assert quadrature_mode_components(x, rep, []) == {}
+    assert quadrature_mode_components(np.stack([x, x.T]), rep, []) == {}
+
+
 def test_quadrature_peak_memory_is_near_its_output():
     rep = SU2Representation(((4, 2), (3, 1), (2, 1), (0, 2)))
     modes = tensor_basis_general(rep).modes
@@ -870,3 +877,11 @@ def test_rank_rows_and_row_trace_norms(blocks):
     np.testing.assert_allclose(norms, [trace_norm(t) for t in basis.stack], rtol=1e-13, atol=0)
     with pytest.raises(ValueError):
         norms[0] = 0.0
+
+
+def test_row_trace_norms_needs_a_block_representation():
+    rep = SU2Representation(((1, 1), (2, 1)))
+    for basis in (tensor_basis_for(decompose(rep)), superop_tensor_basis(rep, rep, ranks={0})):
+        assert basis.rep is None
+        with pytest.raises(ValueError, match="block representation"):
+            basis.row_trace_norms
