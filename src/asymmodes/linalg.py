@@ -64,19 +64,24 @@ def trace_norm(a) -> float:
 
 @lru_cache(maxsize=32)
 def _sector_plan(charges: tuple) -> list:
-    """Per pair of sector size classes ceil(log2 s): block row and column indices,
-    padded to the class's widest sector with the zero sentinel d, and block shifts."""
+    """Per pair of sector size classes ceil(log2 s): its blocks' flat indices in the
+    zero-padded (d+1) x (d+1) operator, each padded to the class's widest sector
+    with the sentinel d, and their columns k + spread; the q_a >= q_b blocks come
+    first (a stable split: each column sums in the same order), then their count."""
     q, sector = np.unique(charges, return_inverse=True)
-    sizes = np.bincount(sector)
-    members = np.append(np.argsort(sector, kind="stable"), len(charges))
+    sizes, d = np.bincount(sector), len(charges)
+    members = np.append(np.argsort(sector, kind="stable"), d)
     starts, size_class = np.cumsum(sizes) - sizes, np.ceil(np.log2(sizes))
     classes = []
     for c in np.unique(size_class):
         sel = size_class == c
         lanes = np.arange(sizes[sel].max())
         classes.append((q[sel], members[np.where(lanes < sizes[sel, None], starts[sel, None] + lanes, -1)]))
-    return [(rows[:, None, :, None], cols[None, :, None, :], (qa[:, None] - qb + q[-1] - q[0]).ravel())
-            for qa, rows in classes for qb, cols in classes]
+    pairs = [((qa[:, None] - qb).ravel(), rows[:, None, :, None] * (d + 1) + cols[None, :, None, :])
+             for qa, rows in classes for qb, cols in classes]
+    orders = [np.argsort(shift < 0, kind="stable") for shift, _ in pairs]
+    return [(index.reshape(-1, *index.shape[2:])[o], shift[o] + q[-1] - q[0], np.sum(shift >= 0))
+            for (shift, index), o in zip(pairs, orders)]
 
 
 def sector_trace_norms(xs, charges) -> np.ndarray:
@@ -84,23 +89,32 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
     sector b] with charges q_a - q_b = k, for a batch (n, d, d) or one matrix: a
     mode shifting every sector by k has only such blocks, in disjoint rows and
     columns.  Zero padding keeps singular values, so each pair of size classes
-    takes one batched SVD (1x1: the modulus) per chunk of ~2**18 padded entries."""
+    takes one batched SVD (1x1: the modulus) of its np.take-gathered blocks per
+    chunk of ~2**18 padded entries.  X_ba = X_ab^dag for Hermitian x, so if some
+    block is over 1x1, a chunk whose matrices are all Hermitian to rounding (|x_ij
+    - conj x_ji| <= 4 eps |x_ij| for all i, j; g g^dag fails) takes only the q_a >=
+    q_b blocks; column spread - k copies spread + k, within 4 eps sqrt(rank) relative."""
     xs = np.asarray(xs, dtype=complex)
     d, width = len(charges), 2 * (max(charges) - min(charges)) + 1
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {xs.shape} does not match {d} charges")
-    batch = xs.reshape(-1, d, d)
+    batch, plan = xs.reshape(-1, d, d), _sector_plan(tuple(charges))
     out = np.zeros((len(batch), width))
     step = max(1, 2**18 // (d + 1) ** 2)
     for lo in range(0, len(batch), step):
-        padded = np.zeros((len(batch[lo:lo + step]), d + 1, d + 1), dtype=complex)
-        padded[:, :d, :d] = batch[lo:lo + step]
-        for rows, cols, shift in _sector_plan(tuple(charges)):
-            blocks = padded[:, rows, cols]
+        chunk, part = batch[lo:lo + step], out[lo:lo + step]
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test quietly
+            herm = np.zeros(len(chunk), bool) if all(i.shape[1:] == (1, 1) for i, _, _ in plan) else (
+                np.abs(chunk - chunk.conj().swapaxes(1, 2)) <= 4 * np.finfo(float).eps * np.abs(chunk)).all(axis=(1, 2))
+        padded, lead = np.zeros((len(chunk), d + 1, d + 1), dtype=complex), herm.all()
+        padded[:, :d, :d] = chunk
+        for index, shift, upper in plan:
+            blocks = np.take(padded.reshape(len(chunk), -1), index[:upper if lead else None], axis=1)
             norms = (np.abs(blocks[..., 0, 0]) if blocks.shape[-2:] == (1, 1)
                      else np.linalg.svd(blocks, compute_uv=False).sum(axis=-1))
-            at = np.arange(len(padded))[:, None] * width + shift
-            out[lo:lo + step] += np.bincount(at.ravel(), norms.ravel(), len(padded) * width).reshape(-1, width)
+            at = np.arange(len(chunk))[:, None] * width + shift[:upper if lead else None]
+            part += np.bincount(at.ravel(), norms.ravel(), len(chunk) * width).reshape(-1, width)
+        part[herm, :width // 2] = part[herm, :width // 2:-1]  # a mixed chunk took every block
     return out.reshape(xs.shape[:-2] + (width,))
 
 

@@ -88,7 +88,7 @@ def mode_norms(x, rep: U1Representation) -> np.ndarray:
 
 def modes_of(x, rep: U1Representation, tol: float = DEFAULT_TOL) -> set:
     """Set of modes k with ||x^(k)|| above tol."""
-    return set(mode_spectrum(x, rep, tol).norms)
+    return {k for k, nrm in zip(range(-rep.spread, rep.spread + 1), mode_norms(x, rep).tolist()) if nrm > tol}
 
 
 class _ModeComponents(Mapping):
@@ -307,7 +307,8 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> CoherentState:
 
 def pure_mode_norm(psi, k: int) -> float:
     """sum_n |psi_{n+k}||psi_n| for amplitudes on consecutive charges."""
-    psi = np.abs(np.asarray(psi, dtype=complex).reshape(-1))
+    psi = np.asarray(psi).reshape(-1)
+    psi = np.abs(psi if psi.dtype == float else psi.astype(complex))  # |x| is abs(complex(x, 0)) exactly
     k = abs(int(k))
     if k >= psi.size:
         return 0.0

@@ -6,16 +6,21 @@ from asymmodes import (
     POVM,
     DensityMatrix,
     apply_superop,
+    FourierWeights,
     channel_from_kraus,
+    coherent_state,
     compose_superops,
     hs_inner,
     identity_superop,
+    joint_representation,
     partial_trace,
     random_density_matrix,
     tensor_product,
     trace_norm,
+    U1Representation,
     unvec,
     vec,
+    weighted_twirl,
 )
 from asymmodes.linalg import sector_trace_norms
 
@@ -241,3 +246,66 @@ def test_sector_trace_norms_rejects_wrong_shapes():
     for bad in (np.eye(2), np.ones((2, 3, 2)), np.ones(3), np.ones((1, 1, 3, 3))):
         with pytest.raises(ValueError):
             sector_trace_norms(bad, (0, 1, 1))
+
+
+def _two_mode_state():
+    """An (8,8) two-mode coherent product |psi><psi| (np.outer: Hermitian to
+    rounding) on its 17 charge sectors of sizes 1..9..1, and its charges."""
+    a, b = (coherent_state(0.5 * np.exp(1j * phase), 8).amplitudes for phase in (0.4, 1.1))
+    psi = np.kron(a, b)
+    rep = joint_representation(U1Representation(range(9)), U1Representation(range(9)))
+    return np.outer(psi, psi.conj()), rep
+
+
+def _svd_blocks(monkeypatch):
+    """Count the blocks that reach np.linalg.svd: the sum of its batch sizes."""
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **k: seen.append(np.prod(a.shape[:-2])) or svd(a, **k))
+    return seen
+
+
+def test_sector_trace_norms_mirror_adjoint_blocks_of_hermitian_states(monkeypatch):
+    rho, rep = _two_mode_state()
+    spread = rep.spread
+    seen = _svd_blocks(monkeypatch)
+    for x in (rho, weighted_twirl(rho, rep, FourierWeights.gaussian(0.3))):
+        seen.clear()
+        norms = sector_trace_norms(x, rep.charges)
+        assert 0 < sum(seen) <= 153  # of 289 blocks, 153 have q_a >= q_b
+        np.testing.assert_allclose(norms, _dense_shift_norms(x, rep.charges), rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(norms[:spread], norms[:spread:-1])
+
+
+@pytest.mark.parametrize("pair", [(8, 6), (13, 12)], ids=["large-block", "block-near-1e-14"])
+def test_sector_trace_norms_full_path_for_perturbed_hermitian(monkeypatch, pair):
+    # an anti-Hermitian change i H of 1e-3 of the entries of one sector pair
+    # (a, b) breaks X_ba = X_ab^dag, and ||X_ab + i H_ab||_1 != ||X_ab - i H_ab||_1
+    rho, rep = _two_mode_state()
+    q = np.asarray(rep.charges)
+    block = (q[:, None] == pair[0]) & (q[None, :] == pair[1])
+    assert 1e-15 < np.abs(rho[block]).max() < (1e-13 if pair == (13, 12) else 1.0)
+    h = np.where(block, np.abs(rho) * np.random.default_rng(5).normal(size=rho.shape), 0)
+    x = rho + 1e-3j * (h + h.T)
+    seen = _svd_blocks(monkeypatch)
+    sector_trace_norms(random_complex(np.random.default_rng(4), x.shape), rep.charges)
+    full = sum(seen)
+    seen.clear()
+    norms = sector_trace_norms(x, rep.charges)
+    assert sum(seen) == full > 153
+    np.testing.assert_allclose(norms, _dense_shift_norms(x, rep.charges), rtol=1e-12, atol=0)
+
+
+def test_sector_trace_norms_mixed_batch_matches_single_calls():
+    rho, rep = _two_mode_state()
+    g = random_complex(np.random.default_rng(9), rho.shape)
+    for batch in ([rho, g], [g, rho], [rho, rho, g]):
+        want = [sector_trace_norms(x, rep.charges) for x in batch]
+        np.testing.assert_array_equal(sector_trace_norms(np.stack(batch), rep.charges), want)
+
+
+def test_sector_trace_norms_non_finite_input_fails_the_hermitian_test_quietly():
+    x = np.eye(4, dtype=complex)
+    x[0, 0] = np.inf  # inf - conj(inf) is nan: no RuntimeWarning, and the full path's nan norm
+    norms = sector_trace_norms(x, (0, 0, 1, 1))
+    assert np.isnan(norms[1]) and norms[0] == norms[2] == 0

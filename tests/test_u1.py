@@ -24,6 +24,7 @@ from asymmodes import (
     trace_norm,
     weighted_twirl,
 )
+from asymmodes import u1
 from asymmodes.u1 import random_covariant_channel, random_covariant_instrument
 
 
@@ -471,3 +472,56 @@ def test_twirled_coherent_spectrum_mode_by_mode():
     for k, v in spec.norms.items():
         want = np.exp(-0.5 * (k * dt) ** 2) * pure_mode_norm(coh.amplitudes, k)
         assert v == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_twirled_two_mode_spectrum_mode_by_mode():
+    # a two-mode product psi has rank-1 blocks P_{q+k} psi psi^dag P_q, so its
+    # mode-k norm is pure_mode_norm of the per-sector norms ||P_q psi||; the
+    # kernel takes half the blocks and mirrors, and both signs must stay exact
+    a = coherent_state(0.9 * np.exp(0.4j), 8)
+    b = coherent_state(0.7 * np.exp(1.1j), 8)
+    rep = joint_representation(a.representation, b.representation)
+    psi = np.kron(a.amplitudes, b.amplitudes)
+    sectors = np.sqrt(np.bincount(rep.charges, weights=np.abs(psi) ** 2))
+    dt = 0.3
+    sigma = weighted_twirl(np.outer(psi, psi.conj()), rep, FourierWeights.gaussian(dt))
+    spec = mode_spectrum(sigma, rep)
+    assert set(spec.norms) == set(range(-rep.spread, rep.spread + 1))
+    for k, v in spec.norms.items():
+        want = np.exp(-0.5 * (k * dt) ** 2) * pure_mode_norm(sectors, k)
+        assert v == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_modes_of_builds_no_mode_components(monkeypatch):
+    rng = np.random.default_rng(12)
+    rep = joint_representation(U1Representation(range(4)), U1Representation(range(3)))
+    x = rand_state(rng, rep.dim)
+    x[np.abs(rep.charge_diffs()) == 2] = 0
+    want = {k for k, v in mode_spectrum(x, rep).norms.items() if v > 1e-10}
+    assert 2 not in want and 1 in want
+
+    def refuse(*args):
+        raise AssertionError("modes_of built _ModeComponents")
+
+    monkeypatch.setattr(u1, "_ModeComponents", refuse)
+    assert modes_of(x, rep) == want
+    assert modes_of(x, rep, tol=10.0) == set()
+
+
+def test_pure_mode_norm_matches_complex_formula_bit_for_bit():
+    def complex_formula(psi, k):
+        psi = np.abs(np.asarray(psi, dtype=complex).reshape(-1))
+        k = abs(int(k))
+        return 0.0 if k >= psi.size else float(np.add.reduce(psi[k:] * psi[: psi.size - k]))
+
+    rng = np.random.default_rng(13)
+    real = rng.normal(size=23)
+    amplitudes = [
+        real, real.astype(np.float32), real[:, None],
+        real + 1j * rng.normal(size=23), (real + 1j * rng.normal(size=23)).astype(np.complex64),
+        rng.integers(-9, 10, size=23), [3, 0, -1, 2], [10**10, 3 * 10**9], [True, False, True],
+    ]
+    for psi in amplitudes:
+        n = np.size(psi)
+        for k in range(-n - 1, n + 2):
+            assert pure_mode_norm(psi, k) == complex_formula(psi, k)
