@@ -92,8 +92,8 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
     takes one batched SVD (1x1: the modulus) of its np.take-gathered blocks per
     chunk of ~2**18 padded entries.  X_ba = X_ab^dag for Hermitian x, so if some
     block is over 1x1, a chunk whose matrices are all Hermitian to rounding (|x_ij
-    - conj x_ji| <= 4 eps |x_ij| for all i, j; g g^dag fails) takes only the q_a >=
-    q_b blocks; column spread - k copies spread + k, within 4 eps sqrt(rank) relative."""
+    - conj x_ji| <= 4 eps |x_ij| for all i, j; a large g g^dag fails) takes only the
+    q_a >= q_b blocks; column spread - k copies spread + k, within 4 eps sqrt(rank)."""
     xs = np.asarray(xs, dtype=complex)
     d, width = len(charges), 2 * (max(charges) - min(charges)) + 1
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
