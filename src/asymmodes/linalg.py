@@ -63,11 +63,11 @@ def trace_norm(a) -> float:
 
 
 @lru_cache(maxsize=32)
-def _sector_plan(charges: tuple) -> list:
-    """Per pair of sector size classes ceil(log2 s): its blocks' flat indices in the
-    zero-padded (d+1) x (d+1) operator, each padded to the class's widest sector
-    with the sentinel d, and their columns k + spread; the q_a >= q_b blocks come
-    first (a stable split: each column sums in the same order), then their count."""
+def _sector_plan(charges: tuple) -> tuple:
+    """Layouts of sector blocks (sectors in size classes ceil(log2 s)): flat indices into
+    the zero-padded (d+1)^2 operator (the sentinel d pads), ordered k = 0, k > 0, k < 0
+    (stable), columns k + spread, counts of k = 0 and k >= 0 blocks; for the 1x1, side-1
+    (as rows) and 2x2 blocks, per pair of classes of the others, and for all others."""
     q, sector = np.unique(charges, return_inverse=True)
     sizes, d = np.bincount(sector), len(charges)
     members = np.append(np.argsort(sector, kind="stable"), d)
@@ -77,43 +77,93 @@ def _sector_plan(charges: tuple) -> list:
         sel = size_class == c
         lanes = np.arange(sizes[sel].max())
         classes.append((q[sel], members[np.where(lanes < sizes[sel, None], starts[sel, None] + lanes, -1)]))
-    pairs = [((qa[:, None] - qb).ravel(), rows[:, None, :, None] * (d + 1) + cols[None, :, None, :])
-             for qa, rows in classes for qb, cols in classes]
-    orders = [np.argsort(shift < 0, kind="stable") for shift, _ in pairs]
-    return [(index.reshape(-1, *index.shape[2:])[o], shift[o] + q[-1] - q[0], np.sum(shift >= 0))
-            for (shift, index), o in zip(pairs, orders)]
+    def layout(group):
+        r, c = (max(index.shape[axis] for _, index in group) for axis in (1, 2))
+        index = np.concatenate([np.pad(index, ((0, 0), (0, r - index.shape[1]), (0, c - index.shape[2])),
+                                       constant_values=(d + 1) ** 2 - 1) for _, index in group])
+        k = np.concatenate([k for k, _ in group])
+        o = np.argsort((k < 0) * 2 + (k > 0), kind="stable")
+        return index[o], k[o] + q[-1] - q[0], np.sum(k == 0), np.sum(k >= 0)
+    pairs = [((qa[:, None] - qb).ravel(), (rows[:, None, :, None] * (d + 1) + cols[None, :, None, :]).reshape(
+        len(qa) * len(qb), rows.shape[1], cols.shape[1])) for qa, rows in classes for qb, cols in classes]
+    side = [(k, i if i.shape[1] == 1 else i.swapaxes(1, 2))
+            for k, i in pairs if min(i.shape[1:]) == 1 < max(i.shape[1:])]
+    large = [(k, i) for k, i in pairs if min(i.shape[1:]) > 1 and i.shape[1:] != (2, 2)]
+    closed = [[p for p in pairs if p[1].shape[1:] == (1, 1)], side, [p for p in pairs if p[1].shape[1:] == (2, 2)]]
+    return [layout(g) for g in closed if g], [layout([p]) for p in large], layout(large) if large else None
+
+
+def _block_norms(blocks):
+    """(norm, certified) per block B scaled by 2**-e, e the exponent of its largest |real
+    or imaginary part| (exact, subnormals too; non-finite entries read NaN): no square
+    under- or overflows.  Side of 1: ||B||_F; 2x2: sqrt(||B||_F^2 + 2 |det B|).  Else, u
+    the normalised largest column, ||u^dag B|| <= ||B||_1 <= ||u^dag B|| + sqrt(r) ||B -
+    u u^dag B||_F, and B is certified if that residual is at most 16 eps ||u^dag B||."""
+    rows = lambda a: a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])  # each block as one row
+    top = rows(np.abs(blocks.view(float))).max(axis=-1)
+    e = np.frexp(top)[1]
+    b = np.ldexp(blocks.view(float), -e[..., None, None]).view(complex)
+    b[~np.isfinite(top)] = np.nan
+    sq = b.real ** 2 + b.imag ** 2
+    if min(b.shape[-2:]) == 1 or b.shape[-2:] == (2, 2):
+        det = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0] if b.shape[-2:] == (2, 2) else 0
+        return np.ldexp(np.sqrt(rows(sq).sum(axis=-1) + 2 * np.abs(det)), e), True
+    c = np.take_along_axis(b, sq.sum(axis=-2).argmax(axis=-1)[..., None, None], axis=-1)
+    n2 = np.maximum(rows(c.real ** 2 + c.imag ** 2).sum(axis=-1), 0.25)  # 0.25 only for a zero block
+    v = c.conj().swapaxes(-1, -2) @ b  # c^dag B = ||c|| u^dag B
+    usq, rsq = (rows(a.real ** 2 + a.imag ** 2).sum(axis=-1) for a in (v, b - c @ (v / n2[..., None, None])))
+    return np.ldexp(np.sqrt(usq / n2), e), rsq * n2 <= (16 * np.finfo(float).eps) ** 2 * usq
 
 
 def sector_trace_norms(xs, charges) -> np.ndarray:
     """Entry [i, k + spread] sums the trace norms of the blocks xs[i][sector a,
     sector b] with charges q_a - q_b = k, for a batch (n, d, d) or one matrix: a
     mode shifting every sector by k has only such blocks, in disjoint rows and
-    columns.  Zero padding keeps singular values, so each pair of size classes
-    takes one batched SVD (1x1: the modulus) of its np.take-gathered blocks per
-    chunk of ~2**18 padded entries.  X_ba = X_ab^dag for Hermitian x, so if some
-    block is over 1x1, a chunk whose matrices are all Hermitian to rounding (|x_ij
-    - conj x_ji| <= 4 eps |x_ij| for all i, j; a large g g^dag fails) takes only the
-    q_a >= q_b blocks; column spread - k copies spread + k, within 4 eps sqrt(rank)."""
+    columns.  Zero padding keeps singular values; blocks are np.take-gathered per
+    chunk of ~2**18 padded entries.  1x1 blocks take the modulus, side-1 and 2x2 blocks
+    a closed form (_block_norms).  A matrix whose other blocks all pass the rank-one
+    certificate takes ||u^dag B|| for them (k = 0 blocks are tried first, the rest only
+    if some matrix of the chunk passes those); any other takes one batched SVD per pair
+    of size classes.  X_ba = X_ab^dag for Hermitian x, so if some block is over 1x1, a
+    matrix Hermitian to rounding (|x_ij - conj x_ji| <= 4 eps |x_ij| for all i, j; a
+    large g g^dag fails) is decided on its q_a >= q_b blocks, a chunk of such matrices
+    takes only those, and column spread - k copies spread + k, within 4 eps sqrt(rank).
+    Each matrix is decided alone, so a batch reads as its matrices do one by one."""
     xs = np.asarray(xs, dtype=complex)
     d, width = len(charges), 2 * (max(charges) - min(charges)) + 1
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {xs.shape} does not match {d} charges")
-    batch, plan = xs.reshape(-1, d, d), _sector_plan(tuple(charges))
+    batch, (closed, large, cert) = xs.reshape(-1, d, d), _sector_plan(tuple(charges))
     out = np.zeros((len(batch), width))
+    def binned(norms, shift):  # row i sums norms[i, j] into column shift[j]
+        at = np.arange(len(norms))[:, None] * width + shift
+        return np.bincount(at.ravel(), norms.ravel(), len(norms) * width).reshape(-1, width)
     step = max(1, 2**18 // (d + 1) ** 2)
     for lo in range(0, len(batch), step):
         chunk, part = batch[lo:lo + step], out[lo:lo + step]
         with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test quietly
-            herm = np.zeros(len(chunk), bool) if all(i.shape[1:] == (1, 1) for i, _, _ in plan) else (
+            herm = np.zeros(len(chunk), bool) if all(i.shape[1:] == (1, 1) for i, *_ in closed + large) else (
                 np.abs(chunk - chunk.conj().swapaxes(1, 2)) <= 4 * np.finfo(float).eps * np.abs(chunk)).all(axis=(1, 2))
-        padded, lead = np.zeros((len(chunk), d + 1, d + 1), dtype=complex), herm.all()
-        padded[:, :d, :d] = chunk
-        for index, shift, upper in plan:
-            blocks = np.take(padded.reshape(len(chunk), -1), index[:upper if lead else None], axis=1)
-            norms = (np.abs(blocks[..., 0, 0]) if blocks.shape[-2:] == (1, 1)
-                     else np.linalg.svd(blocks, compute_uv=False).sum(axis=-1))
-            at = np.arange(len(chunk))[:, None] * width + shift[:upper if lead else None]
-            part += np.bincount(at.ravel(), norms.ravel(), len(chunk) * width).reshape(-1, width)
+        flat, lead = np.zeros((len(chunk), (d + 1) ** 2), dtype=complex), herm.all()
+        flat.reshape(-1, d + 1, d + 1)[:, :d, :d] = chunk
+        for index, shift, _, upper in closed:
+            blocks = np.take(flat, index[:upper if lead else None], axis=1)
+            norms = np.abs(blocks[..., 0, 0]) if blocks.shape[-2:] == (1, 1) else _block_norms(blocks)[0]
+            part += binned(norms, shift[:upper if lead else None])
+        if cert is not None:
+            index, shift, zero, upper = cert
+            norms, ok = _block_norms(np.take(flat, index[:zero], axis=1))
+            if ok.all(axis=1).any():  # the k < 0 blocks of a Hermitian matrix are mirrored, not certified
+                more, passed = _block_norms(np.take(flat, index[zero:upper if lead else None], axis=1))
+                ok = np.concatenate([ok, passed | herm[:, None] & (np.arange(passed.shape[1]) >= upper - zero)], 1)
+                norms = np.concatenate([norms, more], axis=1)
+            ok = ok.all(axis=1)
+            part[ok] += binned(norms[ok], shift[:norms.shape[1]])
+            rest = ~ok if ok.any() else slice(None)
+            for index, shift, _, upper in large if not ok.all() else ():
+                cut = upper if herm[rest].all() else None
+                blocks = np.take(flat[rest], index[:cut], axis=1)
+                part[rest] += binned(np.linalg.svd(blocks, compute_uv=False).sum(axis=-1), shift[:cut])
         part[herm, :width // 2] = part[herm, :width // 2:-1]  # a mixed chunk took every block
     return out.reshape(xs.shape[:-2] + (width,))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,10 +250,10 @@ def test_sector_trace_norms_rejects_wrong_shapes():
             sector_trace_norms(bad, (0, 1, 1))
 
 
-def _two_mode_state():
+def _two_mode_state(phases=(0.4, 1.1)):
     """An (8,8) two-mode coherent product |psi><psi| (np.outer: Hermitian to
     rounding) on its 17 charge sectors of sizes 1..9..1, and its charges."""
-    a, b = (coherent_state(0.5 * np.exp(1j * phase), 8).amplitudes for phase in (0.4, 1.1))
+    a, b = (coherent_state(0.5 * np.exp(1j * phase), 8).amplitudes for phase in phases)
     psi = np.kron(a, b)
     rep = joint_representation(U1Representation(range(9)), U1Representation(range(9)))
     return np.outer(psi, psi.conj()), rep
@@ -266,13 +268,21 @@ def _svd_blocks(monkeypatch):
 
 
 def test_sector_trace_norms_mirror_adjoint_blocks_of_hermitian_states(monkeypatch):
+    # the pure state and its twirl have rank-one blocks: none reaches the SVD; the
+    # blocks of an equal mixture of two product states have rank 2, so its q_a >= q_b
+    # blocks over 2x2 and with both sides over 1 do
     rho, rep = _two_mode_state()
+    mixture = (rho + _two_mode_state((2.0, -0.7))[0]) / 2
+    mixture = (mixture + mixture.conj().T) / 2  # a sum can cancel below the test's 4 eps; this is exact
     spread = rep.spread
     seen = _svd_blocks(monkeypatch)
-    for x in (rho, weighted_twirl(rho, rep, FourierWeights.gaussian(0.3))):
+    for x, svd_blocks in ((rho, 0), (weighted_twirl(rho, rep, FourierWeights.gaussian(0.3)), 0), (mixture, None)):
         seen.clear()
         norms = sector_trace_norms(x, rep.charges)
-        assert 0 < sum(seen) <= 153  # of 289 blocks, 153 have q_a >= q_b
+        if svd_blocks is None:
+            assert 0 < sum(seen) <= 153  # of 289 blocks, 153 have q_a >= q_b
+        else:
+            assert sum(seen) == svd_blocks
         np.testing.assert_allclose(norms, _dense_shift_norms(x, rep.charges), rtol=1e-12, atol=0)
         np.testing.assert_array_equal(norms[:spread], norms[:spread:-1])
 
@@ -309,3 +319,85 @@ def test_sector_trace_norms_non_finite_input_fails_the_hermitian_test_quietly():
     x[0, 0] = np.inf  # inf - conj(inf) is nan: no RuntimeWarning, and the full path's nan norm
     norms = sector_trace_norms(x, (0, 0, 1, 1))
     assert np.isnan(norms[1]) and norms[0] == norms[2] == 0
+
+
+def _random_charges(rng):
+    """12 to 29 charges in -3..3, unsorted, so most sectors are over 2x2."""
+    return tuple(int(c) for c in rng.integers(-3, 4, size=rng.integers(12, 30)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sector_trace_norms_rank_one_blocks_take_no_svd(monkeypatch, seed):
+    # every block of psi psi^dag, psi phi^dag and their twirls is rank one
+    rng = np.random.default_rng(seed)
+    charges = _random_charges(rng)
+    psi, phi = random_complex(rng, (2, len(charges)))
+    xs = [np.outer(psi, psi.conj()), np.outer(psi, phi.conj())]
+    xs += [weighted_twirl(x, U1Representation(charges), FourierWeights.gaussian(0.4)) for x in xs]
+    seen = _svd_blocks(monkeypatch)
+    norms = [sector_trace_norms(x, charges) for x in xs]
+    assert sum(seen) == 0
+    for x, row in zip(xs, norms):
+        np.testing.assert_allclose(row, _dense_shift_norms(x, charges), rtol=1e-12, atol=0)
+    # a matrix that fails the certificate leaves the others of its batch as they read alone
+    g = random_complex(rng, xs[0].shape)
+    np.testing.assert_array_equal(sector_trace_norms(np.stack(xs + [g]), charges),
+                                  norms + [sector_trace_norms(g, charges)])
+
+
+@pytest.mark.parametrize("delta", [1e-16, 1e-14, 1e-12, 1e-8, 1e-4])
+def test_sector_trace_norms_near_rank_one_blocks(monkeypatch, delta):
+    # a matrix whose blocks are within 16 eps of rank one takes ||u^dag B||, any other
+    # the SVD: a change of delta relative to each entry straddles that threshold
+    rng = np.random.default_rng(29)
+    charges = _random_charges(rng)
+    psi = random_complex(rng, len(charges))
+    rho, g = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, random_complex(rng, (len(charges),) * 2)
+    seen = _svd_blocks(monkeypatch)
+    for x in (rho + delta * g, rho + delta * (g + g.conj().T), rho + delta * np.abs(rho) * g):
+        seen.clear()
+        norms = sector_trace_norms(x, charges)
+        svd_blocks = sum(seen)
+        np.testing.assert_allclose(norms, _dense_shift_norms(x, charges), rtol=1e-12, atol=0)
+    assert (svd_blocks == 0) == (delta < 1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+def test_sector_trace_norms_scaled_pure_states(scale):
+    # blocks are scaled by a power of two before squaring: no square under- or overflows
+    rho, rep = _two_mode_state()
+    rng = np.random.default_rng(31)
+    psi = random_complex(rng, rho.shape[0]) / 16
+    for x in (scale * rho, scale * np.outer(psi, psi.conj())):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = sector_trace_norms(x, rep.charges)
+        np.testing.assert_allclose(norms, _dense_shift_norms(x, rep.charges), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("charges", [(0, 0, 0, 1, 1, 1), (0, 0, 1, 1), (0, 1, 1, 1)],
+                         ids=["3x3", "2x2", "side-1"])
+def test_sector_trace_norms_subnormal_block(charges):
+    # one block of entries near 1e-310, below the smallest normal float 2.2e-308
+    rng = np.random.default_rng(37)
+    q = np.asarray(charges)
+    u, v = random_complex(rng, (2, len(q)))
+    for block in ((q[:, None] == 0) & (q[None, :] == 1), (q[:, None] == 1) & (q[None, :] == 1)):
+        x = np.where(block, 1e-310 * (np.outer(u, v) + random_complex(rng, block.shape)), 0)
+        assert 0 < np.abs(x).max() < np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = sector_trace_norms(x, charges)
+        np.testing.assert_allclose(norms, _dense_shift_norms(x, charges), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-17, 1e-12, 1e-6])
+def test_sector_trace_norms_singular_two_by_two_blocks(delta):
+    # sqrt(||B||_F^2 + 2 |det B|) on 2x2 blocks that are singular or nearly so
+    rng = np.random.default_rng(41)
+    u, v = random_complex(rng, (2, 4))
+    for x in (np.outer(u, v.conj()), np.outer(u, u.conj())):
+        x = x + delta * random_complex(rng, x.shape)
+        for charges in ((0, 0, 1, 1), (1, 0, 1, 0)):
+            np.testing.assert_allclose(sector_trace_norms(x, charges), _dense_shift_norms(x, charges),
+                                       rtol=1e-12, atol=0)

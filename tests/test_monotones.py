@@ -327,6 +327,21 @@ def test_table_matches_dense_trace_norms(blocks):
         _assert_tables_close(mode_monotone_table(rho, rep).entries, _dense_table(rho, rep))
 
 
+@pytest.mark.parametrize("blocks", [((1, 2),), ((2, 2),), ((0, 1), (2, 1)), ((1, 1), (3, 1))],
+                         ids=lambda b: "+".join(f"{tj}x{m}" for tj, m in b))
+def test_table_takes_no_svd_on_multiplicity_blocks_up_to_2x2(monkeypatch, blocks):
+    # every Lz sector has at most 2 states, so every block has a closed form
+    rep = SU2Representation(blocks)
+    rho = random_density_matrix(rep.dim, np.random.default_rng(43))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    table = mode_monotone_table(rho, rep).entries
+    assert calls == []
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    _assert_tables_close(table, _dense_table(rho, rep))
+
+
 def test_table_of_decomposed_reps():
     rng = np.random.default_rng(29)
     dec = decompose(SU2Representation.spin(0.5)).tensor(decompose(SU2Representation(((2, 1), (1, 1)))))

@@ -454,6 +454,24 @@ def test_mode_norms_takes_one_svd_per_pair_of_size_classes(monkeypatch):
     np.testing.assert_allclose(norms, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("cutoff", [6, 8])
+def test_mode_norms_takes_no_svd_on_two_mode_pure_states_and_twirls(monkeypatch, cutoff):
+    # every sector block of a pure state, and of its twirl, is rank one
+    a, b = (coherent_state(0.7 * np.exp(1j * phase), cutoff).amplitudes for phase in (0.3, 2.2))
+    psi = np.kron(a, b)
+    rep = joint_representation(U1Representation(range(cutoff + 1)), U1Representation(range(cutoff + 1)))
+    rho = np.outer(psi, psi.conj())
+    xs = (rho, weighted_twirl(rho, rep, FourierWeights.gaussian(0.25)))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    norms = [mode_norms(x, rep) for x in xs]
+    assert calls == []
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for x, got in zip(xs, norms):
+        np.testing.assert_allclose(got, dense_mode_norms(x, rep), rtol=1e-12, atol=0)
+
+
 def test_mode_norms_rejects_wrong_shape():
     rep = U1Representation((0, 1, 2))
     for bad in (np.eye(2), np.ones((3, 2)), np.ones(3)):
