@@ -268,21 +268,20 @@ def _svd_blocks(monkeypatch):
 
 
 def test_sector_trace_norms_mirror_adjoint_blocks_of_hermitian_states(monkeypatch):
-    # the pure state and its twirl have rank-one blocks: none reaches the SVD; the
-    # blocks of an equal mixture of two product states have rank 2, so its q_a >= q_b
-    # blocks over 2x2 and with both sides over 1 do
+    # the pure state and its twirl have rank-one blocks, so none reaches the SVD; an
+    # equal mixture of two product states has rank-2 blocks, and those of its q_a >= q_b
+    # blocks that have no closed form do
     rho, rep = _two_mode_state()
     mixture = (rho + _two_mode_state((2.0, -0.7))[0]) / 2
-    mixture = (mixture + mixture.conj().T) / 2  # a sum can cancel below the test's 4 eps; this is exact
+    # where the two terms cancel, np.outer's rounding exceeds the Hermitian test's 4 eps;
+    # (m + m^dag) / 2 is Hermitian exactly
+    mixture = (mixture + mixture.conj().T) / 2
     spread = rep.spread
     seen = _svd_blocks(monkeypatch)
-    for x, svd_blocks in ((rho, 0), (weighted_twirl(rho, rep, FourierWeights.gaussian(0.3)), 0), (mixture, None)):
+    for x, rank_one in ((rho, True), (weighted_twirl(rho, rep, FourierWeights.gaussian(0.3)), True), (mixture, False)):
         seen.clear()
         norms = sector_trace_norms(x, rep.charges)
-        if svd_blocks is None:
-            assert 0 < sum(seen) <= 153  # of 289 blocks, 153 have q_a >= q_b
-        else:
-            assert sum(seen) == svd_blocks
+        assert sum(seen) == 0 if rank_one else 0 < sum(seen) <= 153  # of 289 blocks, 153 have q_a >= q_b
         np.testing.assert_allclose(norms, _dense_shift_norms(x, rep.charges), rtol=1e-12, atol=0)
         np.testing.assert_array_equal(norms[:spread], norms[:spread:-1])
 
@@ -359,7 +358,7 @@ def test_sector_trace_norms_near_rank_one_blocks(monkeypatch, delta):
         norms = sector_trace_norms(x, charges)
         svd_blocks = sum(seen)
         np.testing.assert_allclose(norms, _dense_shift_norms(x, charges), rtol=1e-12, atol=0)
-    assert (svd_blocks == 0) == (delta < 1e-15)
+    assert (svd_blocks == 0) == (delta < 1e-15)  # the last, entrywise-relative change
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
@@ -378,7 +377,7 @@ def test_sector_trace_norms_scaled_pure_states(scale):
 @pytest.mark.parametrize("charges", [(0, 0, 0, 1, 1, 1), (0, 0, 1, 1), (0, 1, 1, 1)],
                          ids=["3x3", "2x2", "side-1"])
 def test_sector_trace_norms_subnormal_block(charges):
-    # one block of entries near 1e-310, below the smallest normal float 2.2e-308
+    # a single nonzero block, of entries near 1e-310, below the smallest normal float 2.2e-308
     rng = np.random.default_rng(37)
     q = np.asarray(charges)
     u, v = random_complex(rng, (2, len(q)))
