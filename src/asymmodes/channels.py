@@ -20,7 +20,6 @@ from .linalg import (
     Superoperator,
     _as_matrix,
     apply_superop,
-    channel_from_kraus,
     hs_norm,
     partial_trace,
     superop_from_map,
@@ -35,6 +34,7 @@ from .su2 import (
     _tensor_ops_between,
     _twice,
     decompose,
+    twirl_state,
 )
 
 
@@ -42,10 +42,18 @@ from .su2 import (
 # superoperator-space tensor bases
 # ---------------------------------------------------------------------------
 
-def _liouville_rep(rep) -> DecomposedRep:
-    """Decomposition of U x conj(U) acting on row-stacked operators."""
-    dec = decompose(rep)
-    return dec.tensor(dec.conjugate())
+@lru_cache(maxsize=32)
+def _choi_rep(in_rep, out_rep) -> DecomposedRep:
+    """Decomposition of out x conj(in), acting on Choi matrices C[(a,b),(c,d)] = E(|b><d|)_ac
+    as the pair acts on maps E.  Keeps 32 block-representation pairs; others use __wrapped__."""
+    return decompose(out_rep).tensor(decompose(in_rep).conjugate())
+
+
+def _twirled_liouville(choi: np.ndarray, in_rep, out_rep) -> np.ndarray:
+    """Liouville matrix L[(a,c),(b,d)] of the twirl of the map with Choi matrix C."""
+    cached = isinstance(in_rep, SU2Representation) and isinstance(out_rep, SU2Representation)
+    twirled = twirl_state(choi, (_choi_rep if cached else _choi_rep.__wrapped__)(in_rep, out_rep))
+    return twirled.reshape(2 * (out_rep.dim, in_rep.dim)).transpose(0, 2, 1, 3).reshape(out_rep.dim ** 2, -1)
 
 
 def superop_tensor_basis(in_rep, out_rep, ranks=None) -> TensorOperatorBasis:
@@ -60,32 +68,33 @@ def superop_tensor_basis(in_rep, out_rep, ranks=None) -> TensorOperatorBasis:
 
 @lru_cache(maxsize=32)
 def _superop_basis(in_rep, out_rep, ranks: tuple | None) -> TensorOperatorBasis:
-    return _tensor_ops_between(_liouville_rep(out_rep), _liouville_rep(in_rep),
-                               ranks=None if ranks is None else set(ranks))
+    left, right = (_choi_rep.__wrapped__(rep, rep) for rep in (out_rep, in_rep))
+    return _tensor_ops_between(left, right, ranks=None if ranks is None else set(ranks))
 
 
 def superop_twirl_basis(in_rep, out_rep) -> TensorOperatorBasis:
+    """Rank-0 superoperator basis: the oracle of twirl_superop, which does not read it."""
     return superop_tensor_basis(in_rep, out_rep, ranks={0})
 
 
 def twirl_superop(e: Superoperator, in_rep, out_rep,
                   basis: TensorOperatorBasis | None = None) -> Superoperator:
-    """Exact group average int dg U^out_g o e o U^in_{g^-1} (commutant projection)."""
-    basis = basis or superop_twirl_basis(in_rep, out_rep)
-    liou = basis.component(e.liouville, 0, 0)
-    return Superoperator(liou, e.in_dim, e.out_dim, trace_preserving=e.trace_preserving)
+    """Exact group average int dg U^out_g o e o U^in_{g^-1}: the commutant projection
+    (twirl_state) of e's Choi matrix.  basis is not read."""
+    o, i = e.out_dim, e.in_dim
+    choi = e.liouville.reshape(o, o, i, i).transpose(0, 2, 1, 3).reshape(o * i, o * i)
+    return Superoperator(_twirled_liouville(choi, in_rep, out_rep), i, o, trace_preserving=e.trace_preserving)
 
 
 def superop_covariance_residual(e: Superoperator, in_rep, out_rep,
                                 basis: TensorOperatorBasis | None = None) -> float:
-    """Hilbert-Schmidt distance of the Liouville matrix from its group average."""
+    """Hilbert-Schmidt distance of the Liouville matrix from its group average (basis is not read)."""
     return hs_norm(e.liouville - twirl_superop(e, in_rep, out_rep, basis).liouville)
 
 
 def superop_mode_project(e: Superoperator, in_rep, out_rep, mu, m) -> Superoperator:
     """(mu,m) modal component of a superoperator (Liouville-space masking)."""
-    tmu, tm = _twice(mu), _twice(m)
-    basis = superop_tensor_basis(in_rep, out_rep, ranks={tmu})
+    basis = superop_tensor_basis(in_rep, out_rep, ranks={_twice(mu)})
     return Superoperator(basis.component(e.liouville, mu, m), e.in_dim, e.out_dim)
 
 
@@ -289,18 +298,17 @@ def _precompose(liou: np.ndarray, corr: np.ndarray) -> np.ndarray:
 
 
 def _random_covariant_maps(in_rep, out_rep, rng: np.random.Generator, n_maps: int, n_kraus: int,
-                           twirl_basis: TensorOperatorBasis | None, max_tries: int, kind: str) -> list:
-    """Liouville matrices of n_maps twirled random CP maps of n_kraus Kraus operators each,
-    made to sum to a channel by one invariant pre-correction (redrawing them all when the
-    correction is not PSD-safe).  Block representations read the cached twirl basis."""
+                           max_tries: int, kind: str) -> list:
+    """Liouville matrices of n_maps twirled random CP maps, each with Choi matrix g^T conj(g) for
+    n_kraus random Kraus operators as the rows of g, made to sum to a channel by one invariant
+    pre-correction (redrawing them all when the correction is not PSD-safe)."""
     d_in, d_out = in_rep.dim, out_rep.dim
-    basis = twirl_basis or superop_twirl_basis(in_rep, out_rep)
     for _ in range(max_tries):
         maps = []
         for _ in range(n_maps):
-            kraus = [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in))
-                     for _ in range(n_kraus)]
-            maps.append(basis.component(channel_from_kraus(kraus).liouville, 0, 0))
+            g = np.array([rng.normal(size=d_out * d_in) + 1j * rng.normal(size=d_out * d_in)
+                          for _ in range(n_kraus)])
+            maps.append(_twirled_liouville(g.T @ g.conj(), in_rep, out_rep))
         corr = _trace_correction(maps, d_in, d_out)
         if corr is not None:
             return [_precompose(liou, corr) for liou in maps]
@@ -312,15 +320,15 @@ def random_covariant_channel(in_rep, out_rep, rng: np.random.Generator,
                              max_tries: int = 20) -> Superoperator:
     """Random rotationally covariant channel: twirl of a random CP map, made
     trace preserving by an invariant pre-correction (resampling when the
-    correction is not PSD-safe)."""
-    liou, = _random_covariant_maps(in_rep, out_rep, rng, 1, n_kraus, twirl_basis, max_tries, "channel")
+    correction is not PSD-safe).  twirl_basis is not read."""
+    liou, = _random_covariant_maps(in_rep, out_rep, rng, 1, n_kraus, max_tries, "channel")
     return Superoperator(liou, in_rep.dim, out_rep.dim, trace_preserving=True)
 
 
 def random_covariant_instrument(in_rep, out_rep, rng: np.random.Generator,
                                 n_outcomes: int = 2, max_tries: int = 20) -> list:
     """Covariant CP maps (one per flagged outcome) summing to a channel."""
-    maps = _random_covariant_maps(in_rep, out_rep, rng, n_outcomes, 1, None, max_tries, "instrument")
+    maps = _random_covariant_maps(in_rep, out_rep, rng, n_outcomes, 1, max_tries, "instrument")
     return [Superoperator(liou, in_rep.dim, out_rep.dim) for liou in maps]
 
 

@@ -305,7 +305,19 @@ class DecomposedRep:
             comps.append((tj, _read_only(v.conj() @ y)))
         return DecomposedRep(self.dim, tuple(comps))
 
+    @cached_property
+    def _twirl_plan(self) -> tuple:
+        """W, W^dag, and the flat index, irrep pair and 1/(2j+1) of each entry twirl_state keeps."""
+        w, block = self.block_form()
+        tjs = np.array([tj for tj, _ in self.components])
+        irrep = np.repeat(np.arange(len(tjs)), tjs + 1)
+        rows, cols = np.nonzero((tjs[irrep, None] == tjs[irrep]) & (block.twice_m[:, None] == block.twice_m))
+        pair = irrep[rows] * len(tjs) + irrep[cols]
+        return (w, *map(_read_only, (w.conj().T, rows * len(irrep) + cols, pair, 1 / (tjs[irrep[rows]] + 1))))
+
     def tensor(self, other: "DecomposedRep") -> "DecomposedRep":
+        if (nbytes := 16 * (self.dim * other.dim) ** 2) > _MAX_STACK_BYTES:
+            raise ValueError(f"tensor product isometries need {nbytes} bytes, over the {_MAX_STACK_BYTES}-byte limit")
         comps = []
         for tja, va in self.components:
             for tjb, vb in other.components:
@@ -570,18 +582,13 @@ def so3_mode_project_quadrature(x, rep, mu, m) -> np.ndarray:
 
 
 def twirl_state(x, rep) -> np.ndarray:
-    """Exact group average int dg U(g) X U(g)^dag by commutant projection."""
-    dec = decompose(rep)
-    x = _as_matrix(x)
-    out = np.zeros_like(x)
-    by_j: dict = {}
-    for tj, v in dec.components:
-        by_j.setdefault(tj, []).append(v)
-    for tj, vs in by_j.items():
-        for va in vs:
-            for vb in vs:
-                out += (np.trace(va.conj().T @ x @ vb) / (tj + 1)) * (va @ vb.conj().T)
-    return out
+    """Exact group average int dg U X U^dag: of Y = W^dag X W, keeps tr(B)/(2j+1) I for each
+    block B between irreps of one spin j, and 0 elsewhere (commutant projection)."""
+    w, w_dag, flat, pair, scale = decompose(rep)._twirl_plan
+    kept = (w_dag @ _as_matrix(x) @ w).take(flat)
+    z = np.zeros(w.shape[1] ** 2, dtype=complex)
+    z[flat] = (np.bincount(pair, kept.real) + 1j * np.bincount(pair, kept.imag))[pair] * scale
+    return w @ z.reshape(w.shape[1], -1) @ w_dag
 
 
 def axial_twirl(rho, j, axis=(0.0, 0.0, 1.0)) -> np.ndarray:

@@ -1,8 +1,13 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import asymmodes.channels as channels_module
 from asymmodes import (
     POVM,
+    DecomposedRep,
     SU2Representation,
     Superoperator,
     apply_reduced,
@@ -14,6 +19,7 @@ from asymmodes import (
     conjugation_superop,
     covariant_joint_unitary,
     decompose,
+    degrade_via_channel,
     identity_superop,
     measurement_channel,
     missing_mode_family,
@@ -36,6 +42,7 @@ from asymmodes import (
 from asymmodes.channels import (
     CovariantChannelCoefficients,
     _apply_blocks,
+    _choi_rep,
     _precompose,
     _superop_basis,
     random_covariant_instrument,
@@ -364,14 +371,16 @@ def test_random_covariant_channel_is_cptp_and_covariant():
 
 
 def test_random_draws_build_the_twirl_basis_once_per_pair():
+    # the draws twirl through the cached out x conj(in) decomposition, not a superoperator basis
     in_rep, out_rep = SU2Representation.spin(1.5), SU2Representation(((1, 1), (3, 1)))
-    before = _superop_basis.cache_info()
+    before, bases_before = _choi_rep.cache_info(), _superop_basis.cache_info()
     for seed in range(2):
         random_covariant_channel(in_rep, out_rep, np.random.default_rng(seed))
         random_covariant_instrument(in_rep, out_rep, np.random.default_rng(seed))
-    after = _superop_basis.cache_info()
+    after = _choi_rep.cache_info()
     misses, hits = after.misses - before.misses, after.hits - before.hits
-    assert misses <= 1 and misses + hits == 4
+    assert misses <= 1 and misses + hits >= 6   # one twirl per drawn map: 2 x (1 + 2)
+    assert _superop_basis.cache_info() == bases_before
 
 
 @pytest.mark.parametrize("in_rep, out_rep", [(REP_ONE, REP_ONE), (REP_HALF, SU2Representation(((1, 2),)))])
@@ -385,6 +394,89 @@ def test_random_draws_do_not_depend_on_how_the_twirl_basis_is_given(in_rep, out_
     block = random_covariant_instrument(in_rep, out_rep, np.random.default_rng(5), n_outcomes=3)
     decomposed = random_covariant_instrument(dec_in, dec_out, np.random.default_rng(5), n_outcomes=3)
     assert all(np.array_equal(a.liouville, b.liouville) for a, b in zip(block, decomposed, strict=True))
+
+
+def _rotated(rep, seed) -> DecomposedRep:
+    """The decomposition of rep conjugated by a random unitary Q: isometries Q V, all dense."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim)))
+    return DecomposedRep(rep.dim, tuple((tj, q @ v) for tj, v in decompose(rep).components))
+
+
+HALF_X_ONE = decompose(REP_HALF).tensor(decompose(REP_ONE))
+ROTATED = _rotated(SU2Representation(((1, 2),)), 41)
+TWIRL_PAIRS = {
+    "1/2": (REP_HALF, REP_HALF),
+    "1": (REP_ONE, REP_ONE),
+    "3": (SU2Representation.spin(3), SU2Representation.spin(3)),
+    "1->2": (REP_ONE, SU2Representation.spin(2)),
+    "1/2->3/2": (REP_HALF, SU2Representation.spin(1.5)),
+    "(1/2)x2->1/2+3/2": (SU2Representation(((1, 2),)), SU2Representation(((1, 1), (3, 1)))),
+    "1x2": (SU2Representation(((2, 2),)), SU2Representation(((2, 2),))),
+    "1/2(x)1": (HALF_X_ONE, HALF_X_ONE),
+    "rotated": (ROTATED, ROTATED),
+    "1->rotated": (REP_ONE, ROTATED),
+}
+
+
+@pytest.mark.parametrize("in_rep, out_rep", TWIRL_PAIRS.values(), ids=TWIRL_PAIRS.keys())
+def test_twirl_superop_matches_the_rank_zero_basis_oracle(in_rep, out_rep):
+    rng = np.random.default_rng(42)
+    shape = (out_rep.dim, in_rep.dim)
+    e = channel_from_kraus([rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2)])
+    expected = superop_twirl_basis(in_rep, out_rep).component(e.liouville, 0, 0)
+    twirled = twirl_superop(e, in_rep, out_rep).liouville
+    assert np.linalg.norm(twirled - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert superop_covariance_residual(e, in_rep, out_rep) == pytest.approx(np.linalg.norm(e.liouville - expected),
+                                                                           rel=1e-12)
+    chan = random_covariant_channel(in_rep, out_rep, rng)
+    assert superop_covariance_residual(chan, in_rep, out_rep) <= 1e-14
+
+
+def test_no_route_builds_a_superoperator_basis_to_twirl(monkeypatch):
+    rng = np.random.default_rng(43)
+    basis = superop_twirl_basis(REP_ONE, REP_ONE)
+    frame = random_density_matrix(3, rng)
+    joint = channel_from_kraus([covariant_joint_unitary(REP_HALF, REP_ONE, {1: 0.4, 3: -1.2})])
+
+    def refuse(*args):
+        raise AssertionError("a superoperator basis was built")
+
+    monkeypatch.setattr(channels_module, "_superop_basis", refuse)
+    chan = random_covariant_channel(REP_ONE, REP_ONE, rng)
+    given = random_covariant_channel(REP_ONE, REP_ONE, np.random.default_rng(1), twirl_basis=basis)
+    assert np.array_equal(given.liouville,
+                          random_covariant_channel(REP_ONE, REP_ONE, np.random.default_rng(1)).liouville)
+    random_covariant_instrument(REP_HALF, REP_ONE, rng, n_outcomes=3)
+    assert np.abs(twirl_superop(chan, REP_ONE, REP_ONE).liouville - chan.liouville).max() < 1e-14
+    assert superop_covariance_residual(chan, REP_ONE, REP_ONE) < 1e-14
+    degrade_via_channel(frame, chan, 3)
+    simulate_with_frame(joint, frame, REP_HALF, REP_ONE)
+
+
+def test_simulate_with_frame_spin_one_system_spin_five_frame():
+    # Liouville dimension 33^2 = 1089; a rank-0 superoperator basis of it would need gigabytes
+    sys_rep, rf_rep = REP_ONE, SU2Representation.spin(5)
+    joint = channel_from_kraus([covariant_joint_unitary(sys_rep, rf_rep, {8: 0.7, 10: -1.1, 12: 0.4})])
+    p = np.random.default_rng(44).random(11)
+    frame = np.diag(p / p.sum()).astype(complex)   # diagonal in m: only m = 0 modes
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        eff = simulate_with_frame(joint, frame, sys_rep, rf_rep, tol=1e-12)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed <= 2.0 and peak <= 256 * 2**20
+    spec = superop_mode_spectrum(eff, sys_rep, sys_rep, tol=0.0)
+    frame_table = mode_monotone_table(frame, rf_rep)
+    assert max(nrm for (tmu, tm), nrm in spec.norms.items() if tmu > 0) > 1e-3   # the frame unlocks modes
+    for mode, nrm in spec.norms.items():
+        if mode != (0, 0) and frame_table.entries.get(mode, 0.0) <= 1e-12:
+            assert nrm < 1e-9
+    invariant = simulate_with_frame(joint, np.eye(11, dtype=complex) / 11, sys_rep, rf_rep)
+    assert superop_covariance_residual(invariant, sys_rep, sys_rep) <= 1e-12
 
 
 def test_parameter_count_spin_half_channel():

@@ -383,6 +383,18 @@ def test_oversized_basis_raises_before_allocating():
     assert peak < 20e6
 
 
+def test_oversized_tensor_product_raises_before_allocating():
+    dec = decompose(SU2Representation.spin(40))   # 81 x 81 isometry columns of length 6561: 688 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"need 688747536 bytes, over the \d+-byte limit"):
+            dec.tensor(dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_oversized_quadrature_raises_before_allocating():
     rep = SU2Representation.spin(40)
     modes = [(tmu, tmu - 2 * im) for tmu in range(0, 161, 2) for im in range(tmu + 1)]
@@ -831,6 +843,17 @@ def test_twirl_state_matches_zero_mode():
     a, b, g = haar_angles(np.random.default_rng(1), 1)[0]
     u = rep.unitary(a, b, g)
     assert np.abs(u @ tw @ u.conj().T - tw).max() < 1e-12
+
+
+@pytest.mark.parametrize("rep", [SU2Representation(((1, 2),)), SU2Representation(((2, 2), (0, 1))),
+                                 decompose(SU2Representation.spin(0.5)).tensor(decompose(SU2Representation.spin(1)))],
+                         ids=["(1/2)x2", "(1)x2+0", "1/2(x)1"])
+def test_twirl_state_matches_zero_mode_across_irreps_of_one_spin(rep):
+    # two copies of one spin: the twirl keeps the traces of the blocks between them
+    rng = np.random.default_rng(45)
+    x = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
+    expected = tensor_basis_for(rep).component(x, 0, 0)
+    assert np.linalg.norm(twirl_state(x, rep) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_axial_twirl():
