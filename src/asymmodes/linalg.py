@@ -64,106 +64,118 @@ def trace_norm(a) -> float:
 
 @lru_cache(maxsize=32)
 def _sector_plan(charges: tuple) -> tuple:
-    """Layouts of sector blocks (sectors in size classes ceil(log2 s)): flat indices into
-    the zero-padded (d+1)^2 operator (the sentinel d pads), ordered k = 0, k > 0, k < 0
-    (stable), columns k + spread, counts of k = 0 and k >= 0 blocks; for the 1x1, side-1
-    (as rows) and 2x2 blocks, per pair of classes of the others, and for all others."""
+    """Layouts of sector blocks (sectors in size classes ceil(log2 s)): flat indices into the zero-padded
+    (d+1)^2 operator (the sentinel d pads), ordered k >= 0, k < 0 (stable), columns k + spread, count of
+    k >= 0 blocks; for the 1x1, side-1 (as rows) and 2x2 blocks, and per pair of classes of the others.  If
+    there are others, for _shared_factors: each state's sector, members padded with d, columns k + spread."""
     q, sector = np.unique(charges, return_inverse=True)
     sizes, d = np.bincount(sector), len(charges)
     members = np.append(np.argsort(sector, kind="stable"), d)
     starts, size_class = np.cumsum(sizes) - sizes, np.ceil(np.log2(sizes))
-    classes = []
-    for c in np.unique(size_class):
-        sel = size_class == c
-        lanes = np.arange(sizes[sel].max())
-        classes.append((q[sel], members[np.where(lanes < sizes[sel, None], starts[sel, None] + lanes, -1)]))
+    lanes = members[np.where(np.arange(sizes.max()) < sizes[:, None], starts[:, None] + np.arange(sizes.max()), -1)]
+    classes = [(q[size_class == c], lanes[size_class == c, :sizes[size_class == c].max()])
+               for c in np.unique(size_class)]
     def layout(group):
         r, c = (max(index.shape[axis] for _, index in group) for axis in (1, 2))
         index = np.concatenate([np.pad(index, ((0, 0), (0, r - index.shape[1]), (0, c - index.shape[2])),
                                        constant_values=(d + 1) ** 2 - 1) for _, index in group])
         k = np.concatenate([k for k, _ in group])
-        o = np.argsort((k < 0) * 2 + (k > 0), kind="stable")
-        return index[o], k[o] + q[-1] - q[0], np.sum(k == 0), np.sum(k >= 0)
+        o = np.argsort(k < 0, kind="stable")
+        return index[o], k[o] + q[-1] - q[0], np.sum(k >= 0)
     pairs = [((qa[:, None] - qb).ravel(), (rows[:, None, :, None] * (d + 1) + cols[None, :, None, :]).reshape(
         len(qa) * len(qb), rows.shape[1], cols.shape[1])) for qa, rows in classes for qb, cols in classes]
     side = [(k, i if i.shape[1] == 1 else i.swapaxes(1, 2))
             for k, i in pairs if min(i.shape[1:]) == 1 < max(i.shape[1:])]
-    large = [(k, i) for k, i in pairs if min(i.shape[1:]) > 1 and i.shape[1:] != (2, 2)]
+    large = [layout([p]) for p in pairs if min(p[1].shape[1:]) > 1 and p[1].shape[1:] != (2, 2)]
     closed = [[p for p in pairs if p[1].shape[1:] == (1, 1)], side, [p for p in pairs if p[1].shape[1:] == (2, 2)]]
-    return [layout(g) for g in closed if g], [layout([p]) for p in large], layout(large) if large else None
+    shared = (sector, lanes, (q[:, None] - q + q[-1] - q[0]).ravel()) if large else None
+    return [layout(g) for g in closed if g] + large, shared
 
 
 def _block_norms(blocks):
-    """(norm, certified) per block B scaled by 2**-e, e the exponent of its largest |real
-    or imaginary part| (exact, subnormals too; non-finite entries read NaN): no square
-    under- or overflows.  Side of 1: ||B||_F; 2x2: sqrt(||B||_F^2 + 2 |det B|).  Else, u
-    the normalised largest column, ||u^dag B|| <= ||B||_1 <= ||u^dag B|| + sqrt(r) ||B -
-    u u^dag B||_F, and B is certified if that residual is at most 16 eps ||u^dag B||."""
-    rows = lambda a: a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])  # each block as one row
-    top = rows(np.abs(blocks.view(float))).max(axis=-1)
+    """Trace norm of each block B: 1x1, |B|; side of 1, ||B||_F; 2x2, sqrt(||B||_F^2 + 2 |det B|),
+    on B scaled by 2**-e, e the exponent of its largest |real or imaginary part| (exact, no square
+    under- or overflows; non-finite entries read NaN); any other, the sum of its singular values."""
+    if blocks.shape[-2:] == (1, 1):
+        return np.abs(blocks[..., 0, 0])
+    if min(blocks.shape[-2:]) > 1 and blocks.shape[-2:] != (2, 2):
+        return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1)
+    top = np.abs(blocks.view(float)).max(axis=(-2, -1))
     e = np.frexp(top)[1]
     b = np.ldexp(blocks.view(float), -e[..., None, None]).view(complex)
     b[~np.isfinite(top)] = np.nan
-    sq = b.real ** 2 + b.imag ** 2
-    if min(b.shape[-2:]) == 1 or b.shape[-2:] == (2, 2):
-        det = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0] if b.shape[-2:] == (2, 2) else 0
-        return np.ldexp(np.sqrt(rows(sq).sum(axis=-1) + 2 * np.abs(det)), e), True
-    c = np.take_along_axis(b, sq.sum(axis=-2).argmax(axis=-1)[..., None, None], axis=-1)
-    n2 = np.maximum(rows(c.real ** 2 + c.imag ** 2).sum(axis=-1), 0.25)  # 0.25 only for a zero block
-    v = c.conj().swapaxes(-1, -2) @ b  # c^dag B = ||c|| u^dag B
-    usq, rsq = (rows(a.real ** 2 + a.imag ** 2).sum(axis=-1) for a in (v, b - c @ (v / n2[..., None, None])))
-    return np.ldexp(np.sqrt(usq / n2), e), rsq * n2 <= (16 * np.finfo(float).eps) ** 2 * usq
+    det = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0] if b.shape[-2:] == (2, 2) else 0
+    return np.ldexp(np.sqrt((b.real ** 2 + b.imag ** 2).sum(axis=(-2, -1)) + 2 * np.abs(det)), e)
+
+
+def _shared_factors(xs, sector, lanes):
+    """(trace norms of the blocks (a, b), flattened; passed) per matrix of xs (n, d, d).  Per row sector a, i_a
+    is the row of its largest entry and c the column of that row's largest entry; per column sector b, likewise
+    j_b and r.  A matrix passes if |x_ij - x[i_a, j_b] (c_i / c_{i_a}) (r_j / r_{j_b})| <= 16 eps |x_ij| for every
+    entry; then each block's trace norm is within 16 eps sqrt(rank) of |x[i_a, j_b]| (||c_a|| / |c_{i_a}|) (||r_b||
+    / |r_{j_b}|), ratios at most sqrt(size) (hypot-reduced: nothing under- or overflows; 1x1 reads |x_ij|)."""
+    n, d = xs.shape[:2]
+    at, states, sectors = np.arange(n)[:, None], np.arange(d), np.arange(len(lanes))
+    with np.errstate(all="ignore"):  # a non-finite entry makes its sector's row i_a NaN: it fails
+        a = np.abs(xs)
+        pivot = lambda top: lanes[sectors, np.append(top, np.full((n, 1), -1.0), axis=1)[:, lanes].argmax(axis=2)]
+        ia, jb = pivot(a.max(axis=2)), pivot(a.max(axis=1))
+        c = xs[at, states, a[at, ia].argmax(axis=2)[:, sector]]
+        r = xs[at, a[at, :, jb].argmax(axis=2)[:, sector], states]
+        beta = xs[at[:, :, None], ia[:, :, None], jb[:, None, :]]
+        cp, rq = (np.where(p == 0, 1, p) for p in (c[at, ia], r[at, jb]))  # c = 0 on an all-zero sector
+        model = np.take(np.take(beta, sector, axis=1), sector, axis=2)
+        model *= (c / cp[:, sector])[:, :, None]
+        model *= (r / rq[:, sector])[:, None, :]
+        model -= xs
+        ok = (np.abs(model) <= np.multiply(a, 16 * np.finfo(float).eps, out=a)).all(axis=(1, 2))
+        length = lambda v, p: np.hypot.reduce(np.append(np.abs(v), np.zeros((n, 1)), 1)[:, lanes], axis=2) / np.abs(p)
+        norms = np.abs(beta) * length(c, cp)[:, :, None] * length(r, rq)[:, None, :]
+    return norms.reshape(n, -1), ok
 
 
 def sector_trace_norms(xs, charges) -> np.ndarray:
-    """Entry [i, k + spread] sums the trace norms of the blocks xs[i][sector a,
-    sector b] with charges q_a - q_b = k, for a batch (n, d, d) or one matrix: a
-    mode shifting every sector by k has only such blocks, in disjoint rows and
-    columns.  Zero padding keeps singular values; blocks are np.take-gathered per
-    chunk of ~2**18 padded entries.  1x1 blocks take the modulus, side-1 and 2x2 blocks
-    a closed form (_block_norms).  A matrix whose other blocks all pass the rank-one
-    certificate takes ||u^dag B|| for them (k = 0 blocks are tried first, the rest only
-    if some matrix of the chunk passes those); any other takes one batched SVD per pair
-    of size classes.  X_ba = X_ab^dag for Hermitian x, so if some block is over 1x1, a
-    matrix Hermitian to rounding (|x_ij - conj x_ji| <= 4 eps |x_ij| for all i, j; a
-    large g g^dag fails) is decided on its q_a >= q_b blocks, a chunk of such matrices
-    takes only those, and column spread - k copies spread + k, within 4 eps sqrt(rank).
-    Each matrix is decided alone, so a batch reads as its matrices do one by one."""
+    """Entry [i, k + spread] sums the trace norms of the blocks xs[i][sector a, sector b] with
+    q_a - q_b = k, for a batch (n, d, d) or one matrix: mode k has only such blocks, in disjoint
+    rows and columns.  Consecutive ascending charges (Fock): column sums of |x| laid out as a skew.
+    Else, if some block is over 2x2, a matrix passing _shared_factors takes every block from it; any
+    other is zero padded (keeping singular values) and np.take-gathered per chunk of ~2**18 entries
+    into one layout per kind of block (_block_norms; one batched SVD per pair of size classes).  X_ba
+    = X_ab^dag for Hermitian x, so a matrix Hermitian to rounding (|x_ij - conj x_ji| <= 4 eps |x_ij|
+    for all i, j; checked if some block is over 1x1) copies column spread + k to spread - k, within
+    4 eps sqrt(rank), and a chunk of such matrices takes only its q_a >= q_b blocks.  Each matrix is
+    decided alone, so a batch reads as its matrices do one by one."""
     xs = np.asarray(xs, dtype=complex)
     d, width = len(charges), 2 * (max(charges) - min(charges)) + 1
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {xs.shape} does not match {d} charges")
-    batch, (closed, large, cert) = xs.reshape(-1, d, d), _sector_plan(tuple(charges))
-    out = np.zeros((len(batch), width))
+    batch = xs.reshape(-1, d, d)
+    if tuple(charges) == tuple(range(charges[0], charges[0] + d)):  # column (d - 1) + i - j sums mode i - j
+        skew = np.zeros((len(batch), d, 2 * d))
+        np.abs(batch, out=skew[:, :, d - 1::-1])
+        return skew.reshape(len(batch), -1)[:, :d * width].reshape(xs.shape[:-2] + (d, width)).sum(axis=-2)
+    (layouts, shared), out = _sector_plan(tuple(charges)), np.zeros((len(batch), width))
     def binned(norms, shift):  # row i sums norms[i, j] into column shift[j]
         at = np.arange(len(norms))[:, None] * width + shift
         return np.bincount(at.ravel(), norms.ravel(), len(norms) * width).reshape(-1, width)
     step = max(1, 2**18 // (d + 1) ** 2)
     for lo in range(0, len(batch), step):
         chunk, part = batch[lo:lo + step], out[lo:lo + step]
+        ok = np.zeros(len(chunk), bool)
         with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test quietly
-            herm = np.zeros(len(chunk), bool) if all(i.shape[1:] == (1, 1) for i, *_ in closed + large) else (
+            herm = np.zeros(len(chunk), bool) if all(i.shape[1:] == (1, 1) for i, *_ in layouts) else (
                 np.abs(chunk - chunk.conj().swapaxes(1, 2)) <= 4 * np.finfo(float).eps * np.abs(chunk)).all(axis=(1, 2))
-        flat, lead = np.zeros((len(chunk), (d + 1) ** 2), dtype=complex), herm.all()
-        flat.reshape(-1, d + 1, d + 1)[:, :d, :d] = chunk
-        for index, shift, _, upper in closed:
-            blocks = np.take(flat, index[:upper if lead else None], axis=1)
-            norms = np.abs(blocks[..., 0, 0]) if blocks.shape[-2:] == (1, 1) else _block_norms(blocks)[0]
-            part += binned(norms, shift[:upper if lead else None])
-        if cert is not None:
-            index, shift, zero, upper = cert
-            norms, ok = _block_norms(np.take(flat, index[:zero], axis=1))
-            if ok.all(axis=1).any():  # the k < 0 blocks of a Hermitian matrix are mirrored, not certified
-                more, passed = _block_norms(np.take(flat, index[zero:upper if lead else None], axis=1))
-                ok = np.concatenate([ok, passed | herm[:, None] & (np.arange(passed.shape[1]) >= upper - zero)], 1)
-                norms = np.concatenate([norms, more], axis=1)
-            ok = ok.all(axis=1)
-            part[ok] += binned(norms[ok], shift[:norms.shape[1]])
-            rest = ~ok if ok.any() else slice(None)
-            for index, shift, _, upper in large if not ok.all() else ():
-                cut = upper if herm[rest].all() else None
-                blocks = np.take(flat[rest], index[:cut], axis=1)
-                part[rest] += binned(np.linalg.svd(blocks, compute_uv=False).sum(axis=-1), shift[:cut])
+        if shared is not None:
+            norms, ok = _shared_factors(chunk, *shared[:2])
+            part[ok] = binned(norms[ok], shared[2])
+        if not ok.all():
+            rest = ~ok if ok.any() else slice(None)  # part[rest] and chunk[rest] are views if none passed
+            flat, lead, sums = np.zeros((len(chunk[rest]), (d + 1) ** 2), dtype=complex), herm[rest].all(), part[rest]
+            flat.reshape(-1, d + 1, d + 1)[:, :d, :d] = chunk[rest]
+            for index, shift, upper in layouts:
+                sums += binned(_block_norms(np.take(flat, index[:upper if lead else None], axis=1)),
+                               shift[:upper if lead else None])
+            part[rest] = sums
         part[herm, :width // 2] = part[herm, :width // 2:-1]  # a mixed chunk took every block
     return out.reshape(xs.shape[:-2] + (width,))
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from asymmodes import (
     POVM,
     DensityMatrix,
+    SU2Representation,
     apply_superop,
     FourierWeights,
     channel_from_kraus,
@@ -15,8 +16,12 @@ from asymmodes import (
     hs_inner,
     identity_superop,
     joint_representation,
+    mode_monotone_table,
     partial_trace,
+    random_covariant_channel,
     random_density_matrix,
+    reduce_covariant,
+    tensor_basis_general,
     tensor_product,
     trace_norm,
     U1Representation,
@@ -24,7 +29,8 @@ from asymmodes import (
     vec,
     weighted_twirl,
 )
-from asymmodes.linalg import sector_trace_norms
+from asymmodes import linalg
+from asymmodes.linalg import _sector_plan, _shared_factors, sector_trace_norms
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -320,6 +326,23 @@ def test_sector_trace_norms_non_finite_input_fails_the_hermitian_test_quietly():
     assert np.isnan(norms[1]) and norms[0] == norms[2] == 0
 
 
+
+def test_sector_trace_norms_non_finite_entry_in_a_large_block():
+    # the inf lies in the 3x3 block of mode -1; the shared-factor test fails quietly,
+    # that block's SVD reads NaN, and every other mode is the dense route's
+    rng = np.random.default_rng(43)
+    charges = (0, 0, 0, 1, 1, 1, 2)
+    psi = random_complex(rng, 7)
+    x = np.outer(psi, psi.conj())
+    x[0, 4] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norms = sector_trace_norms(x, charges)
+    assert np.isnan(norms[1])
+    y = x.copy()
+    y[0, 4] = 0
+    np.testing.assert_allclose(np.delete(norms, 1), np.delete(_dense_shift_norms(y, charges), 1), rtol=1e-12, atol=0)
+
 def _random_charges(rng):
     """12 to 29 charges in -3..3, unsorted, so most sectors are over 2x2."""
     return tuple(int(c) for c in rng.integers(-3, 4, size=rng.integers(12, 30)))
@@ -400,3 +423,85 @@ def test_sector_trace_norms_singular_two_by_two_blocks(delta):
         for charges in ((0, 0, 1, 1), (1, 0, 1, 0)):
             np.testing.assert_allclose(sector_trace_norms(x, charges), _dense_shift_norms(x, charges),
                                        rtol=1e-12, atol=0)
+
+
+# Degenerate charges with a sector of at least 3 states beside another sector: some
+# block is over 2x2, so the shared-factor test runs, and a block row spans two sectors.
+degenerate_charges = st.lists(st.integers(-3, 3), min_size=2, max_size=18).map(
+    lambda q: tuple(q) + (q[0], q[0], q[0] + 1))
+
+
+def _rank_one_blocks(rng, charges):
+    """Every sector block rank one, each with a column space of its own."""
+    q = np.asarray(charges)
+    x = np.zeros((len(q), len(q)), dtype=complex)
+    for a in np.unique(q):
+        for b in np.unique(q):
+            x[np.ix_(q == a, q == b)] = np.outer(random_complex(rng, np.sum(q == a)), random_complex(rng, np.sum(q == b)))
+    return x
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(degenerate_charges, st.integers(min_value=0, max_value=2**32 - 1))
+def test_shared_factor_inputs_take_no_svd(charges, seed):
+    # psi phi^dag has blocks beta_ab c_a r_b^T, and so has every U(1) twirl of it, which
+    # scales block (a, b) by the weight of q_a - q_b: Gaussian, uniform (block-diagonal,
+    # the dephased state) and point masses; psi may vanish on a whole sector
+    rng = np.random.default_rng(seed)
+    rep = U1Representation(charges)
+    psi, phi = random_complex(rng, (2, len(charges)))
+    x = np.outer(psi, phi.conj())
+    weights = (FourierWeights.gaussian(0.4), FourierWeights.uniform(),
+               FourierWeights.from_point_masses([0.3, 2.0], [0.25, 0.75]))
+    gap = np.where(np.asarray(charges) == charges[-1], 0, psi)
+    xs = [x, np.outer(psi, psi.conj()), np.outer(gap, phi.conj())] + [weighted_twirl(x, rep, w) for w in weights]
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _svd_blocks(patch)
+        norms = [sector_trace_norms(x, charges) for x in xs]
+    assert sum(seen) == 0
+    for x, row in zip(xs, norms):
+        np.testing.assert_allclose(row, _dense_shift_norms(x, charges), rtol=1e-12, atol=0)
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(degenerate_charges, st.integers(min_value=0, max_value=2**32 - 1))
+def test_rank_one_blocks_on_two_column_spaces_fail_the_shared_factor_test(charges, seed):
+    # each block is rank one, but the block row of q[0] (3 or more rows) holds two
+    # blocks with column spaces of their own, so no one c serves it
+    x = _rank_one_blocks(np.random.default_rng(seed), charges)
+    assert not _shared_factors(x[None], *_sector_plan(charges)[1][:2])[1][0]
+    np.testing.assert_allclose(sector_trace_norms(x, charges), _dense_shift_norms(x, charges), rtol=1e-12, atol=0)
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(degenerate_charges, st.integers(min_value=0, max_value=2**32 - 1))
+def test_batch_reads_as_its_matrices_one_call_at_a_time(charges, seed):
+    rng = np.random.default_rng(seed)
+    psi, phi = random_complex(rng, (2, len(charges)))
+    x = np.outer(psi, phi.conj())
+    xs = [x, np.outer(psi, psi.conj()), weighted_twirl(x, U1Representation(charges), FourierWeights.gaussian(0.4)),
+          _rank_one_blocks(rng, charges), random_complex(rng, x.shape)]
+    xs = [xs[i] for i in rng.permutation(len(xs))]
+    np.testing.assert_array_equal(sector_trace_norms(np.stack(xs), charges),
+                                  [sector_trace_norms(x, charges) for x in xs])
+
+
+def test_su2_channel_representations_never_reach_the_shared_factor_test(monkeypatch):
+    # every Lz sector of the representations of perfbench's su2-channels workload has at
+    # most 2 states, so no block is over 2x2 and their tables keep the closed forms
+    def refuse(*args):
+        raise AssertionError("the shared-factor test ran")
+
+    monkeypatch.setattr(linalg, "_shared_factors", refuse)
+    spin, rep = SU2Representation.spin, SU2Representation
+    pairs = [(spin(j), spin(j)) for j in (0.5, 1, 1.5, 2, 2.5, 3)]
+    pairs += [(spin(1), spin(2)), (spin(2), spin(1)), (spin(0.5), spin(1.5)), (spin(1.5), spin(0.5)),
+              (rep(((0, 1), (2, 1))), spin(1)), (rep(((1, 2),)), rep(((1, 1), (3, 1)))),
+              (rep(((2, 2),)), rep(((2, 2),)))]
+    rng = np.random.default_rng(53)
+    for a, b in pairs:
+        chan = random_covariant_channel(a, b, rng)
+        reduce_covariant(chan, tensor_basis_general(a), tensor_basis_general(b))
+        rho = random_density_matrix(a.dim, rng)
+        for state, r in ((rho, a), (apply_superop(chan, rho), b), (random_density_matrix(a.dim, rng, rank=1), a)):
+            assert mode_monotone_table(state, r).entries

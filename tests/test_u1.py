@@ -1,3 +1,6 @@
+import timeit
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,7 @@ from asymmodes import (
     weighted_twirl,
 )
 from asymmodes import u1
+from asymmodes.linalg import _sector_plan, sector_trace_norms
 from asymmodes.u1 import random_covariant_channel, random_covariant_instrument
 
 
@@ -543,3 +547,65 @@ def test_pure_mode_norm_matches_complex_formula_bit_for_bit():
         n = np.size(psi)
         for k in range(-n - 1, n + 2):
             assert pure_mode_norm(psi, k) == complex_formula(psi, k)
+
+
+def _two_mode_pure_state(n):
+    """An (n,n) two-mode coherent product psi psi^dag, its representation and sector norms."""
+    a, b = (coherent_state(0.9 * np.exp(1j * phase), n) for phase in (0.4, 1.1))
+    rep = joint_representation(a.representation, b.representation)
+    psi = np.kron(a.amplitudes, b.amplitudes)
+    return np.outer(psi, psi.conj()), rep, np.sqrt(np.bincount(rep.charges, weights=np.abs(psi) ** 2))
+
+
+@pytest.mark.parametrize("n, seconds, mib", [(12, 0.005, 4), (20, 0.03, 16), (30, 0.12, 64)])
+def test_mode_norms_of_large_two_mode_pure_states_within_budget(monkeypatch, n, seconds, mib):
+    # one O(d^2) shared-factor test per call: no padded copy and no SVD, at d = 169, 441 and 961
+    # (best of five warm calls, 2-vCPU VM: 0.6, 6 and 26 ms, and 1.0, 6.2 and 29 MiB traced)
+    rho, rep, sectors = _two_mode_pure_state(n)
+    mode_norms(rho, rep)
+    best = min(timeit.repeat(lambda: mode_norms(rho, rep), number=1, repeat=5))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    tracemalloc.start()
+    try:
+        norms = mode_norms(rho, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and best <= seconds and peak <= mib * 2**20
+    want = [pure_mode_norm(sectors, k) for k in range(-rep.spread, rep.spread + 1)]
+    np.testing.assert_allclose(norms, want, rtol=1e-12, atol=0)
+
+
+def test_mode_norms_at_fock_cutoff_2000_build_no_plan():
+    # consecutive charges take the skew sum of |x|: no sector plan, one d x 2d buffer
+    coh = coherent_state(6.0 * np.exp(0.7j), 2000)
+    rho, rep = coh.density, coh.representation
+    before = _sector_plan.cache_info()
+    start = timeit.default_timer()
+    tracemalloc.start()
+    try:
+        norms = mode_norms(rho, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert timeit.default_timer() - start <= 1.0 and peak <= 80 * 2**20  # a 61 MiB buffer
+    assert _sector_plan.cache_info() == before
+    ks = (-2000, -37, 0, 5, 200, 1999)
+    np.testing.assert_allclose(norms[[k + 2000 for k in ks]], [pure_mode_norm(coh.amplitudes, k) for k in ks],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 56, 200])
+def test_fock_path_equals_the_plan_path_bit_for_bit(cutoff):
+    # charges 0, 2, 4, ... have the same 1x1 blocks as 0, 1, 2, ... but take the sector
+    # plan; their even columns hold the modes
+    rng = np.random.default_rng(cutoff)
+    coh = coherent_state(1.7 * np.exp(2.1j), cutoff)
+    fock, even = coh.representation, U1Representation(range(0, 2 * cutoff + 1, 2))
+    g = rng.normal(size=coh.density.shape) + 1j * rng.normal(size=coh.density.shape)
+    xs = np.stack([coh.density, weighted_twirl(coh.density, fock, FourierWeights.gaussian(0.3)), g, rand_state(rng, cutoff + 1)])
+    for x in xs:
+        np.testing.assert_array_equal(mode_norms(x, fock), mode_norms(x, even)[::2])
+    np.testing.assert_array_equal(sector_trace_norms(xs, fock.charges), sector_trace_norms(xs, even.charges)[:, ::2])
