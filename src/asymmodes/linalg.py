@@ -65,9 +65,9 @@ def trace_norm(a) -> float:
 @lru_cache(maxsize=32)
 def _sector_plan(charges: tuple) -> tuple:
     """Layouts of sector blocks (sectors in size classes ceil(log2 s)): flat indices into the zero-padded
-    (d+1)^2 operator (the sentinel d pads), ordered k >= 0, k < 0 (stable), columns k + spread, count of
-    k >= 0 blocks; for the 1x1, side-1 (as rows) and 2x2 blocks, and per pair of classes of the others.  If
-    there are others, for _shared_factors: each state's sector, members padded with d, columns k + spread."""
+    (d+1)^2 operator (the sentinel d pads) and columns k + spread; for the 1x1, side-1 (as rows) and 2x2
+    blocks, and per pair of classes of the others.  If there are others, for _shared_factors: each state's
+    sector, members padded with d, columns k + spread."""
     q, sector = np.unique(charges, return_inverse=True)
     sizes, d = np.bincount(sector), len(charges)
     members = np.append(np.argsort(sector, kind="stable"), d)
@@ -79,9 +79,7 @@ def _sector_plan(charges: tuple) -> tuple:
         r, c = (max(index.shape[axis] for _, index in group) for axis in (1, 2))
         index = np.concatenate([np.pad(index, ((0, 0), (0, r - index.shape[1]), (0, c - index.shape[2])),
                                        constant_values=(d + 1) ** 2 - 1) for _, index in group])
-        k = np.concatenate([k for k, _ in group])
-        o = np.argsort(k < 0, kind="stable")
-        return index[o], k[o] + q[-1] - q[0], np.sum(k >= 0)
+        return index, np.concatenate([k for k, _ in group]) + q[-1] - q[0]
     pairs = [((qa[:, None] - qb).ravel(), (rows[:, None, :, None] * (d + 1) + cols[None, :, None, :]).reshape(
         len(qa) * len(qb), rows.shape[1], cols.shape[1])) for qa, rows in classes for qb, cols in classes]
     side = [(k, i if i.shape[1] == 1 else i.swapaxes(1, 2))
@@ -95,11 +93,14 @@ def _sector_plan(charges: tuple) -> tuple:
 def _block_norms(blocks):
     """Trace norm of each block B: 1x1, |B|; side of 1, ||B||_F; 2x2, sqrt(||B||_F^2 + 2 |det B|),
     on B scaled by 2**-e, e the exponent of its largest |real or imaginary part| (exact, no square
-    under- or overflows; non-finite entries read NaN); any other, the sum of its singular values."""
+    under- or overflows); any other, the sum of its singular values.  Over 1x1, non-finite B reads NaN.
+    Overwrites blocks: callers pass a gathered copy."""
     if blocks.shape[-2:] == (1, 1):
         return np.abs(blocks[..., 0, 0])
     if min(blocks.shape[-2:]) > 1 and blocks.shape[-2:] != (2, 2):
-        return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1)
+        finite = np.isfinite(blocks).all(axis=(-2, -1))
+        blocks[~finite] = 0  # the SVD raises on a NaN
+        return np.where(finite, np.linalg.svd(blocks, compute_uv=False).sum(axis=-1), np.nan)
     top = np.abs(blocks.view(float)).max(axis=(-2, -1))
     e = np.frexp(top)[1]
     b = np.ldexp(blocks.view(float), -e[..., None, None]).view(complex)
@@ -140,11 +141,8 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
     rows and columns.  Consecutive ascending charges (Fock): column sums of |x| laid out as a skew.
     Else, if some block is over 2x2, a matrix passing _shared_factors takes every block from it; any
     other is zero padded (keeping singular values) and np.take-gathered per chunk of ~2**18 entries
-    into one layout per kind of block (_block_norms; one batched SVD per pair of size classes).  X_ba
-    = X_ab^dag for Hermitian x, so a matrix Hermitian to rounding (|x_ij - conj x_ji| <= 4 eps |x_ij|
-    for all i, j; checked if some block is over 1x1) copies column spread + k to spread - k, within
-    4 eps sqrt(rank), and a chunk of such matrices takes only its q_a >= q_b blocks.  Each matrix is
-    decided alone, so a batch reads as its matrices do one by one."""
+    into one layout per kind of block (_block_norms; one batched SVD per pair of size classes).  Each
+    matrix is decided alone, by that one rule, so a batch reads as its matrices do one by one."""
     xs = np.asarray(xs, dtype=complex)
     d, width = len(charges), 2 * (max(charges) - min(charges)) + 1
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
@@ -162,21 +160,14 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
     for lo in range(0, len(batch), step):
         chunk, part = batch[lo:lo + step], out[lo:lo + step]
         ok = np.zeros(len(chunk), bool)
-        with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test quietly
-            herm = np.zeros(len(chunk), bool) if all(i.shape[1:] == (1, 1) for i, *_ in layouts) else (
-                np.abs(chunk - chunk.conj().swapaxes(1, 2)) <= 4 * np.finfo(float).eps * np.abs(chunk)).all(axis=(1, 2))
         if shared is not None:
             norms, ok = _shared_factors(chunk, *shared[:2])
             part[ok] = binned(norms[ok], shared[2])
         if not ok.all():
-            rest = ~ok if ok.any() else slice(None)  # part[rest] and chunk[rest] are views if none passed
-            flat, lead, sums = np.zeros((len(chunk[rest]), (d + 1) ** 2), dtype=complex), herm[rest].all(), part[rest]
+            rest = ~ok if ok.any() else slice(None)  # chunk[rest] is a view if none passed
+            flat = np.zeros((len(chunk[rest]), (d + 1) ** 2), dtype=complex)
             flat.reshape(-1, d + 1, d + 1)[:, :d, :d] = chunk[rest]
-            for index, shift, upper in layouts:
-                sums += binned(_block_norms(np.take(flat, index[:upper if lead else None], axis=1)),
-                               shift[:upper if lead else None])
-            part[rest] = sums
-        part[herm, :width // 2] = part[herm, :width // 2:-1]  # a mixed chunk took every block
+            part[rest] = sum(binned(_block_norms(np.take(flat, index, axis=1)), shift) for index, shift in layouts)
     return out.reshape(xs.shape[:-2] + (width,))
 
 

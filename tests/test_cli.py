@@ -196,6 +196,36 @@ def test_decompose_builds_no_mode_components(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["pure", "ggd"])
+def test_u1_commands_on_degenerate_charges(tmp_path, capsys, monkeypatch, kind):
+    # the two-mode (3,3) representation has sectors of 1, 2, 3, 4, 3, 2, 1 states: a pure
+    # state takes the shared-factor test, g g^dag the SVDs of its blocks over 2x2
+    monkeypatch.delenv("ASYMMODES_TOL", raising=False)
+    rep = u1.joint_representation(u1.U1Representation(range(4)), u1.U1Representation(range(4)))
+    a, b = (u1.coherent_state(0.8 * np.exp(1j * phase), 3).amplitudes for phase in (0.4, 1.1))
+    psi = np.kron(a, b) / np.linalg.norm(np.kron(a, b))
+    g = np.random.default_rng(71).normal(size=(16, 16, 2)) @ [1, 1j]
+    states = {"pure": np.outer(psi, psi.conj()), "ggd": g @ g.conj().T / np.trace(g @ g.conj().T)}
+    x = states[kind]
+    mats = {"x": x, "other": states["ggd" if kind == "pure" else "pure"],
+            "dephased": np.where(rep.charge_diffs() == 0, x, 0)}
+    files = {name: write_json(tmp_path / f"{name}.json", serialize.matrix_to_json(m)) for name, m in mats.items()}
+    charges = write_json(tmp_path / "charges.json", serialize.charges_to_json(rep))
+
+    assert main(["u1", "decompose", "--state", files["x"], "--charges", charges]) == 0
+    printed, spectrum = json.loads(capsys.readouterr().out), u1.mode_spectrum(x, rep, tol=1e-10)
+    assert printed["modes"] == sorted(spectrum.norms) == list(range(-6, 7))
+    assert {int(k): v for k, v in printed["norms"].items()} == spectrum.norms
+
+    for src, dst, code in (("x", "other", 0), ("dephased", "x", 2)):  # the dephased state lacks modes k != 0
+        rc = main(["u1", "bound", "--from", files[src], "--to", files[dst], "--charges", charges])
+        lines = capsys.readouterr().out.splitlines()
+        bound = u1.transition_bound(mats[src], mats[dst], rep)
+        assert rc == code == (0 if bound.feasible else 2)
+        assert lines[0] == "k,bound" and lines[-1] == f"overall,{bound.overall:.17g}"
+        assert {int(k): float(v) for k, v in (line.split(",") for line in lines[1:-1])} == bound.per_mode
+
+
 def test_mismatched_dims_exit_code(workspace, capsys):
     rc = main(["su2", "monotones", "--state", workspace["uphalf"], "--rep", workspace["rep1"]])
     assert rc == 1

@@ -273,23 +273,20 @@ def _svd_blocks(monkeypatch):
     return seen
 
 
-def test_sector_trace_norms_mirror_adjoint_blocks_of_hermitian_states(monkeypatch):
-    # the pure state and its twirl have rank-one blocks, so none reaches the SVD; an
-    # equal mixture of two product states has rank-2 blocks, and those of its q_a >= q_b
-    # blocks that have no closed form do
+def test_sector_trace_norms_plus_and_minus_k_agree_on_hermitian_states():
+    # X_ba = X_ab^dag for Hermitian x, so modes k and -k have the same trace norm: on a pure
+    # state and its twirl (rank-one blocks), a rank-2 mixture made Hermitian exactly, and the
+    # same mixture left as the sum of two np.outer terms (Hermitian only to rounding)
     rho, rep = _two_mode_state()
     mixture = (rho + _two_mode_state((2.0, -0.7))[0]) / 2
-    # where the two terms cancel, np.outer's rounding exceeds the Hermitian test's 4 eps;
-    # (m + m^dag) / 2 is Hermitian exactly
-    mixture = (mixture + mixture.conj().T) / 2
+    inputs = ((rho, 1), (weighted_twirl(rho, rep, FourierWeights.gaussian(0.3)), 1),
+              ((mixture + mixture.conj().T) / 2, 2), (mixture, 2))
     spread = rep.spread
-    seen = _svd_blocks(monkeypatch)
-    for x, rank_one in ((rho, True), (weighted_twirl(rho, rep, FourierWeights.gaussian(0.3)), True), (mixture, False)):
-        seen.clear()
+    for x, rank in inputs:
         norms = sector_trace_norms(x, rep.charges)
-        assert sum(seen) == 0 if rank_one else 0 < sum(seen) <= 153  # of 289 blocks, 153 have q_a >= q_b
+        np.testing.assert_allclose(norms[:spread], norms[:spread:-1], rtol=16 * np.finfo(float).eps * np.sqrt(rank),
+                                   atol=0)
         np.testing.assert_allclose(norms, _dense_shift_norms(x, rep.charges), rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(norms[:spread], norms[:spread:-1])
 
 
 @pytest.mark.parametrize("pair", [(8, 6), (13, 12)], ids=["large-block", "block-near-1e-14"])
@@ -319,17 +316,29 @@ def test_sector_trace_norms_mixed_batch_matches_single_calls():
         np.testing.assert_array_equal(sector_trace_norms(np.stack(batch), rep.charges), want)
 
 
-def test_sector_trace_norms_non_finite_input_fails_the_hermitian_test_quietly():
+def test_sector_trace_norms_inf_in_a_two_by_two_block_reads_nan_in_its_mode():
     x = np.eye(4, dtype=complex)
-    x[0, 0] = np.inf  # inf - conj(inf) is nan: no RuntimeWarning, and the full path's nan norm
+    x[0, 0] = np.inf  # the closed form of the 2x2 block of mode 0 reads NaN, with no RuntimeWarning
     norms = sector_trace_norms(x, (0, 0, 1, 1))
     assert np.isnan(norms[1]) and norms[0] == norms[2] == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_sector_trace_norms_non_finite_entry_skips_the_svd(bad):
+    # the entry lies in the 3x3 block of mode 0: that block stays out of the batched SVD
+    # and reads NaN, alone and beside a finite matrix of the same batch
+    charges = (0, 0, 0, 1, 1, 1, 2)
+    x = np.eye(7, dtype=complex)
+    x[0, 1] = bad
+    norms = sector_trace_norms(x, charges)
+    np.testing.assert_array_equal(norms, [0, 0, np.nan, 0, 0])
+    g = random_complex(np.random.default_rng(47), x.shape)
+    np.testing.assert_array_equal(sector_trace_norms(np.stack([x, g]), charges), [norms, sector_trace_norms(g, charges)])
+
 
 def test_sector_trace_norms_non_finite_entry_in_a_large_block():
     # the inf lies in the 3x3 block of mode -1; the shared-factor test fails quietly,
-    # that block's SVD reads NaN, and every other mode is the dense route's
+    # that block skips the SVD and reads NaN, and every other mode is the dense route's
     rng = np.random.default_rng(43)
     charges = (0, 0, 0, 1, 1, 1, 2)
     psi = random_complex(rng, 7)

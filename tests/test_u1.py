@@ -499,7 +499,7 @@ def test_twirled_coherent_spectrum_mode_by_mode():
 def test_twirled_two_mode_spectrum_mode_by_mode():
     # a two-mode product psi has rank-1 blocks P_{q+k} psi psi^dag P_q, so its
     # mode-k norm is pure_mode_norm of the per-sector norms ||P_q psi||; the
-    # kernel takes half the blocks and mirrors, and both signs must stay exact
+    # kernel takes modes k and -k from their own blocks, and both must stay exact
     a = coherent_state(0.9 * np.exp(0.4j), 8)
     b = coherent_state(0.7 * np.exp(1.1j), 8)
     rep = joint_representation(a.representation, b.representation)
