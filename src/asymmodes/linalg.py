@@ -64,43 +64,40 @@ def trace_norm(a) -> float:
 
 @lru_cache(maxsize=32)
 def _sector_plan(charges: tuple) -> tuple:
-    """Layouts of sector blocks (sectors in size classes ceil(log2 s)): flat indices into the zero-padded
-    (d+1)^2 operator (the sentinel d pads) and columns k + spread; for the 1x1, side-1 (as rows) and 2x2
-    blocks, and per pair of classes of the others.  If there are others, for _shared_factors: each state's
-    sector, members padded with d, columns k + spread."""
+    """The sector blocks (a, b) grouped by shape (r, c), r <= c, a tall block transposed: per shape, flat
+    indices (blocks, r, c) into the d x d operator; per block, in that order, its bin (shape, q_a - q_b +
+    spread) of a (shapes, width) sum.  If some block is over 2x2, for _shared_factors: each state's sector,
+    each sector's members (padded with d) and the column q_a - q_b + spread of each block (a, b)."""
     q, sector = np.unique(charges, return_inverse=True)
-    sizes, d = np.bincount(sector), len(charges)
+    sizes, d, spread = np.bincount(sector), len(charges), q[-1] - q[0]
     members = np.append(np.argsort(sector, kind="stable"), d)
-    starts, size_class = np.cumsum(sizes) - sizes, np.ceil(np.log2(sizes))
+    starts = np.cumsum(sizes) - sizes
     lanes = members[np.where(np.arange(sizes.max()) < sizes[:, None], starts[:, None] + np.arange(sizes.max()), -1)]
-    classes = [(q[size_class == c], lanes[size_class == c, :sizes[size_class == c].max()])
-               for c in np.unique(size_class)]
-    def layout(group):
-        r, c = (max(index.shape[axis] for _, index in group) for axis in (1, 2))
-        index = np.concatenate([np.pad(index, ((0, 0), (0, r - index.shape[1]), (0, c - index.shape[2])),
-                                       constant_values=(d + 1) ** 2 - 1) for _, index in group])
-        return index, np.concatenate([k for k, _ in group]) + q[-1] - q[0]
-    pairs = [((qa[:, None] - qb).ravel(), (rows[:, None, :, None] * (d + 1) + cols[None, :, None, :]).reshape(
-        len(qa) * len(qb), rows.shape[1], cols.shape[1])) for qa, rows in classes for qb, cols in classes]
-    side = [(k, i if i.shape[1] == 1 else i.swapaxes(1, 2))
-            for k, i in pairs if min(i.shape[1:]) == 1 < max(i.shape[1:])]
-    large = [layout([p]) for p in pairs if min(p[1].shape[1:]) > 1 and p[1].shape[1:] != (2, 2)]
-    closed = [[p for p in pairs if p[1].shape[1:] == (1, 1)], side, [p for p in pairs if p[1].shape[1:] == (2, 2)]]
-    shared = (sector, lanes, (q[:, None] - q + q[-1] - q[0]).ravel()) if large else None
-    return [layout(g) for g in closed if g] + large, shared
+    shapes = {}
+    for r in np.unique(sizes):
+        for c in np.unique(sizes):
+            index = (lanes[sizes == r, None, :r, None] * d + lanes[None, sizes == c, None, :c]).reshape(-1, r, c)
+            shapes.setdefault((min(r, c), max(r, c)), []).append(
+                (index if r <= c else index.swapaxes(1, 2), (q[sizes == r, None] - q[sizes == c]).ravel()))
+    layouts = [shapes[shape] for shape in sorted(shapes)]
+    bins = np.concatenate([k + n * (2 * spread + 1) for n, group in enumerate(layouts) for _, k in group]) + spread
+    large = any(r > 1 and (r, c) != (2, 2) for r, c in shapes)
+    return (([np.concatenate([index for index, _ in group]) for group in layouts], bins),
+            (sector, lanes, (q[:, None] - q + spread).ravel()) if large else None)
 
 
 def _block_norms(blocks):
     """Trace norm of each block B: 1x1, |B|; side of 1, ||B||_F; 2x2, sqrt(||B||_F^2 + 2 |det B|),
     on B scaled by 2**-e, e the exponent of its largest |real or imaginary part| (exact, no square
-    under- or overflows); any other, the sum of its singular values.  Over 1x1, non-finite B reads NaN.
-    Overwrites blocks: callers pass a gathered copy."""
+    under- or overflows); any other, the sum of its singular values.  Over 1x1, non-finite B reads NaN."""
     if blocks.shape[-2:] == (1, 1):
         return np.abs(blocks[..., 0, 0])
     if min(blocks.shape[-2:]) > 1 and blocks.shape[-2:] != (2, 2):
-        finite = np.isfinite(blocks).all(axis=(-2, -1))
-        blocks[~finite] = 0  # the SVD raises on a NaN
-        return np.where(finite, np.linalg.svd(blocks, compute_uv=False).sum(axis=-1), np.nan)
+        try:  # an inf reads NaN; a NaN raises, and then its blocks are zeroed and read NaN
+            return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1)
+        except np.linalg.LinAlgError:
+            finite = np.isfinite(blocks).all(axis=(-2, -1))
+            return np.where(finite, _block_norms(np.where(finite[..., None, None], blocks, 0)), np.nan)
     top = np.abs(blocks.view(float)).max(axis=(-2, -1))
     e = np.frexp(top)[1]
     b = np.ldexp(blocks.view(float), -e[..., None, None]).view(complex)
@@ -140,9 +137,9 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
     q_a - q_b = k, for a batch (n, d, d) or one matrix: mode k has only such blocks, in disjoint
     rows and columns.  Consecutive ascending charges (Fock): column sums of |x| laid out as a skew.
     Else, if some block is over 2x2, a matrix passing _shared_factors takes every block from it; any
-    other is zero padded (keeping singular values) and np.take-gathered per chunk of ~2**18 entries
-    into one layout per kind of block (_block_norms; one batched SVD per pair of size classes).  Each
-    matrix is decided alone, by that one rule, so a batch reads as its matrices do one by one."""
+    other is np.take-gathered per chunk of ~2**18 entries into one layout per block shape (_block_norms:
+    a closed form up to 2x2, else one batched SVD per shape).  Each matrix is decided alone, by that
+    one rule, so a batch reads as its matrices do one by one."""
     xs = np.asarray(xs, dtype=complex)
     d, width = len(charges), 2 * (max(charges) - min(charges)) + 1
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
@@ -152,22 +149,22 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
         skew = np.zeros((len(batch), d, 2 * d))
         np.abs(batch, out=skew[:, :, d - 1::-1])
         return skew.reshape(len(batch), -1)[:, :d * width].reshape(xs.shape[:-2] + (d, width)).sum(axis=-2)
-    (layouts, shared), out = _sector_plan(tuple(charges)), np.zeros((len(batch), width))
-    def binned(norms, shift):  # row i sums norms[i, j] into column shift[j]
-        at = np.arange(len(norms))[:, None] * width + shift
-        return np.bincount(at.ravel(), norms.ravel(), len(norms) * width).reshape(-1, width)
-    step = max(1, 2**18 // (d + 1) ** 2)
+    ((layouts, bins), shared), out = _sector_plan(tuple(charges)), np.zeros((len(batch), width))
+    def binned(norms, shift, size):  # row i sums norms[i, j] into entry shift[j] of its size bins
+        at = np.arange(len(norms))[:, None] * size + shift
+        return np.bincount(at.ravel(), norms.ravel(), len(norms) * size).reshape(-1, size)
+    step = max(1, 2**18 // d**2)
     for lo in range(0, len(batch), step):
         chunk, part = batch[lo:lo + step], out[lo:lo + step]
         ok = np.zeros(len(chunk), bool)
         if shared is not None:
             norms, ok = _shared_factors(chunk, *shared[:2])
-            part[ok] = binned(norms[ok], shared[2])
+            part[ok] = binned(norms[ok], shared[2], width)
         if not ok.all():
             rest = ~ok if ok.any() else slice(None)  # chunk[rest] is a view if none passed
-            flat = np.zeros((len(chunk[rest]), (d + 1) ** 2), dtype=complex)
-            flat.reshape(-1, d + 1, d + 1)[:, :d, :d] = chunk[rest]
-            part[rest] = sum(binned(_block_norms(np.take(flat, index, axis=1)), shift) for index, shift in layouts)
+            flat = chunk[rest].reshape(-1, d * d)
+            norms = np.concatenate([_block_norms(np.take(flat, index, axis=1)) for index in layouts], axis=1)
+            part[rest] = binned(norms, bins, len(layouts) * width).reshape(-1, len(layouts), width).sum(axis=1)
     return out.reshape(xs.shape[:-2] + (width,))
 
 

@@ -307,13 +307,13 @@ class DecomposedRep:
 
     @cached_property
     def _twirl_plan(self) -> tuple:
-        """W, W^dag, and the flat index, irrep pair and 1/(2j+1) of each entry twirl_state keeps."""
+        """W, and the flat index, irrep pair and 1/(2j+1) of each entry twirl_state keeps."""
         w, block = self.block_form()
         tjs = np.array([tj for tj, _ in self.components])
         irrep = np.repeat(np.arange(len(tjs)), tjs + 1)
         rows, cols = np.nonzero((tjs[irrep, None] == tjs[irrep]) & (block.twice_m[:, None] == block.twice_m))
         pair = irrep[rows] * len(tjs) + irrep[cols]
-        return (w, *map(_read_only, (w.conj().T, rows * len(irrep) + cols, pair, 1 / (tjs[irrep[rows]] + 1))))
+        return (w, *map(_read_only, (rows * len(irrep) + cols, pair, 1 / (tjs[irrep[rows]] + 1))))
 
     def tensor(self, other: "DecomposedRep") -> "DecomposedRep":
         if (nbytes := 16 * (self.dim * other.dim) ** 2) > _MAX_STACK_BYTES:
@@ -584,7 +584,8 @@ def so3_mode_project_quadrature(x, rep, mu, m) -> np.ndarray:
 def twirl_state(x, rep) -> np.ndarray:
     """Exact group average int dg U X U^dag: of Y = W^dag X W, keeps tr(B)/(2j+1) I for each
     block B between irreps of one spin j, and 0 elsewhere (commutant projection)."""
-    w, w_dag, flat, pair, scale = decompose(rep)._twirl_plan
+    w, flat, pair, scale = decompose(rep)._twirl_plan
+    w_dag = w.conj().T
     kept = (w_dag @ _as_matrix(x) @ w).take(flat)
     z = np.zeros(w.shape[1] ** 2, dtype=complex)
     z[flat] = (np.bincount(pair, kept.real) + 1j * np.bincount(pair, kept.imag))[pair] * scale

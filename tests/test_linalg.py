@@ -304,7 +304,9 @@ def test_sector_trace_norms_full_path_for_perturbed_hermitian(monkeypatch, pair)
     full = sum(seen)
     seen.clear()
     norms = sector_trace_norms(x, rep.charges)
-    assert sum(seen) == full > 153
+    # of the 17 x 17 blocks, 2 x 2 have a side 1 on both sides, 2 x 2 x 15 on one side, and
+    # the four between the two sectors of size 2 are 2x2: 289 - 4 - 60 - 4 = 221 take the SVD
+    assert sum(seen) == full == 221
     np.testing.assert_allclose(norms, _dense_shift_norms(x, rep.charges), rtol=1e-12, atol=0)
 
 
@@ -438,6 +440,25 @@ def test_sector_trace_norms_singular_two_by_two_blocks(delta):
 # block is over 2x2, so the shared-factor test runs, and a block row spans two sectors.
 degenerate_charges = st.lists(st.integers(-3, 3), min_size=2, max_size=18).map(
     lambda q: tuple(q) + (q[0], q[0], q[0] + 1))
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(degenerate_charges)
+def test_sector_plan_layouts_partition_the_operator_by_block(charges):
+    # each layout (blocks, r, c), r <= c, holds flat indices i * d + j, one sector pair (a, b) per
+    # block; every entry of the d x d operator is in one block, and the block's bin is its layout's
+    # row of the (layouts, width) sum and its column q_a - q_b + spread
+    q, d, spread = np.asarray(charges), len(charges), max(charges) - min(charges)
+    (layouts, bins), _ = _sector_plan(charges)
+    np.testing.assert_array_equal(np.sort(np.concatenate([index.ravel() for index in layouts])), np.arange(d * d))
+    columns = []
+    for index in layouts:
+        rows, cols = (q[side(index, d)].reshape(len(index), -1) for side in (np.floor_divide, np.mod))
+        assert index.ndim == 3 and index.shape[1] <= index.shape[2]
+        assert (rows == rows[:, :1]).all() and (cols == cols[:, :1]).all()
+        columns.append(rows[:, 0] - cols[:, 0] + spread)
+    np.testing.assert_array_equal(bins % (2 * spread + 1), np.concatenate(columns))
+    np.testing.assert_array_equal(bins // (2 * spread + 1), np.repeat(np.arange(len(layouts)), [len(i) for i in layouts]))
 
 
 def _rank_one_blocks(rng, charges):

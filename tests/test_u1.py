@@ -1,5 +1,6 @@
 import timeit
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -445,8 +446,10 @@ def test_mode_norms_named_reps():
             np.testing.assert_allclose(mode_norms(x, rep), dense_mode_norms(x, rep), rtol=1e-12, atol=0)
 
 
-def test_mode_norms_takes_one_svd_per_pair_of_size_classes(monkeypatch):
-    # the (8,8) two-mode rep has sectors of sizes 1..9, in the classes ceil(log2 s) = 0..4
+def test_mode_norms_takes_one_svd_per_block_shape(monkeypatch):
+    # the (8,8) two-mode rep has 17 sectors of sizes 1..9; a mixed state takes one batched SVD per
+    # block shape r x c (r <= c, a tall block transposed) with r > 1 other than 2x2: 45 shapes less
+    # the 1x1, the eight side-1 and the 2x2 leave 35 calls, holding the 221 blocks, none padded
     rep = joint_representation(U1Representation(range(9)), U1Representation(range(9)))
     x = rand_state(np.random.default_rng(3), rep.dim)
     want = dense_mode_norms(x, rep)
@@ -454,7 +457,10 @@ def test_mode_norms_takes_one_svd_per_pair_of_size_classes(monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
     norms = mode_norms(x, rep)
-    assert 0 < len(calls) <= 25
+    sizes = np.bincount(rep.charges)
+    shapes = Counter(tuple(sorted((a, b))) for a in sizes for b in sizes if min(a, b) > 1 and (a, b) != (2, 2))
+    assert len(calls) == len(shapes) == 35 and sum(shapes.values()) == 221
+    assert {shape[2:]: shape[1] for shape in calls} == shapes and all(shape[0] == 1 for shape in calls)
     np.testing.assert_allclose(norms, want, rtol=1e-12, atol=0)
 
 
@@ -576,6 +582,31 @@ def test_mode_norms_of_large_two_mode_pure_states_within_budget(monkeypatch, n, 
     assert calls == [] and best <= seconds and peak <= mib * 2**20
     want = [pure_mode_norm(sectors, k) for k in range(-rep.spread, rep.spread + 1)]
     np.testing.assert_allclose(norms, want, rtol=1e-12, atol=0)
+
+
+def test_mode_norms_of_a_two_mode_mixed_state_within_budget(monkeypatch):
+    # g g^dag / tr fails the shared-factor test, so every block is gathered straight from the
+    # operator, with no padded copy: at d = 441 one batched SVD per block shape over 2x2, 209
+    # (best of five warm calls, 2-vCPU VM: 29 ms, 6.2 MiB traced, the shared-factor test's)
+    rep = joint_representation(U1Representation(range(21)), U1Representation(range(21)))
+    rng = np.random.default_rng(20)
+    g = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
+    x = g @ g.conj().T / np.linalg.norm(g) ** 2
+    mode_norms(x, rep)
+    best = min(timeit.repeat(lambda: mode_norms(x, rep), number=1, repeat=5))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    tracemalloc.start()
+    try:
+        norms = mode_norms(x, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 209 and best <= 0.15 and peak <= 16 * 2**20
+    diffs = rep.charge_diffs()
+    for k in (-40, -7, 0, 1, 25):
+        assert norms[k + rep.spread] == pytest.approx(trace_norm(np.where(diffs == k, x, 0)), rel=1e-12, abs=0)
 
 
 def test_mode_norms_at_fock_cutoff_2000_build_no_plan():
