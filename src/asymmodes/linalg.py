@@ -73,12 +73,12 @@ def _sector_plan(charges: tuple) -> tuple:
     members = np.append(np.argsort(sector, kind="stable"), d)
     starts = np.cumsum(sizes) - sizes
     lanes = members[np.where(np.arange(sizes.max()) < sizes[:, None], starts[:, None] + np.arange(sizes.max()), -1)]
-    shapes = {}
-    for r in np.unique(sizes):
-        for c in np.unique(sizes):
-            index = (lanes[sizes == r, None, :r, None] * d + lanes[None, sizes == c, None, :c]).reshape(-1, r, c)
+    groups, shapes = {s: (q[sizes == s], lanes[sizes == s, :s]) for s in np.unique(sizes)}, {}
+    for r, (qa, rows) in groups.items():
+        for c, (qb, cols) in groups.items():
+            index = (rows[:, None, :, None] * d + cols[None, :, None, :]).reshape(-1, r, c)
             shapes.setdefault((min(r, c), max(r, c)), []).append(
-                (index if r <= c else index.swapaxes(1, 2), (q[sizes == r, None] - q[sizes == c]).ravel()))
+                (index if r <= c else index.swapaxes(1, 2), (qa[:, None] - qb).ravel()))
     layouts = [shapes[shape] for shape in sorted(shapes)]
     bins = np.concatenate([k + n * (2 * spread + 1) for n, group in enumerate(layouts) for _, k in group]) + spread
     large = any(r > 1 and (r, c) != (2, 2) for r, c in shapes)
