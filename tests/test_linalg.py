@@ -304,8 +304,8 @@ def test_sector_trace_norms_full_path_for_perturbed_hermitian(monkeypatch, pair)
     full = sum(seen)
     seen.clear()
     norms = sector_trace_norms(x, rep.charges)
-    # of the 17 x 17 blocks, 2 x 2 have a side 1 on both sides, 2 x 2 x 15 on one side, and
-    # the four between the two sectors of size 2 are 2x2: 289 - 4 - 60 - 4 = 221 take the SVD
+    # of the 17 x 17 blocks, the two sectors of size 1 give 2 x 2 that are 1x1 and 2 x 2 x 15
+    # with one side 1, and the two of size 2 give four 2x2: 289 - 4 - 60 - 4 = 221 take the SVD
     assert sum(seen) == full == 221
     np.testing.assert_allclose(norms, _dense_shift_norms(x, rep.charges), rtol=1e-12, atol=0)
 

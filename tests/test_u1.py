@@ -587,7 +587,7 @@ def test_mode_norms_of_large_two_mode_pure_states_within_budget(monkeypatch, n, 
 def test_mode_norms_of_a_two_mode_mixed_state_within_budget(monkeypatch):
     # g g^dag / tr fails the shared-factor test, so every block is gathered straight from the
     # operator, with no padded copy: at d = 441 one batched SVD per block shape over 2x2, 209
-    # (best of five warm calls, 2-vCPU VM: 29 ms, 6.2 MiB traced, the shared-factor test's)
+    # (best of five warm calls, 2-vCPU VM: 25-30 ms, 6.2 MiB traced, the shared-factor test's)
     rep = joint_representation(U1Representation(range(21)), U1Representation(range(21)))
     rng = np.random.default_rng(20)
     g = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
