@@ -65,9 +65,10 @@ def trace_norm(a) -> float:
 @lru_cache(maxsize=32)
 def _sector_plan(charges: tuple) -> tuple:
     """The sector blocks (a, b) grouped by shape (r, c), r <= c, a tall block transposed: per shape, flat
-    indices (blocks, r, c) into the d x d operator; per block, in that order, its bin (shape, q_a - q_b +
-    spread) of a (shapes, width) sum.  If some block is over 2x2, for _shared_factors: each state's sector,
-    each sector's members (padded with d) and the column q_a - q_b + spread of each block (a, b)."""
+    indices (blocks, r, c) into the d x d operator; per block, in that order, the index of its sum (shape,
+    q_a - q_b + spread) among the sums in use, which run shape by shape, and each sum's column.  If some
+    block is over 2x2, for _shared_factors: each state's sector, each sector's members (padded with d) and
+    the column q_a - q_b + spread of each block (a, b)."""
     q, sector = np.unique(charges, return_inverse=True)
     sizes, d, spread = np.bincount(sector), len(charges), q[-1] - q[0]
     members = np.append(np.argsort(sector, kind="stable"), d)
@@ -77,13 +78,12 @@ def _sector_plan(charges: tuple) -> tuple:
     for r, (qa, rows) in groups.items():
         for c, (qb, cols) in groups.items():
             index = (rows[:, None, :, None] * d + cols[None, :, None, :]).reshape(-1, r, c)
-            shapes.setdefault((min(r, c), max(r, c)), []).append(
+            shapes.setdefault((min(r, c), max(r, c)), []).append(  # shapes arrive in sorted order
                 (index if r <= c else index.swapaxes(1, 2), (qa[:, None] - qb).ravel()))
-    layouts = [shapes[shape] for shape in sorted(shapes)]
-    bins = np.concatenate([k + n * (2 * spread + 1) for n, group in enumerate(layouts) for _, k in group]) + spread
-    large = any(r > 1 and (r, c) != (2, 2) for r, c in shapes)
-    return (([np.concatenate([index for index, _ in group]) for group in layouts], bins),
-            (sector, lanes, (q[:, None] - q + spread).ravel()) if large else None)
+    sums, into = np.unique(np.concatenate([n * (2 * spread + 1) + k for n, group in enumerate(shapes.values())
+                                           for _, k in group]) + spread, return_inverse=True)
+    return (([np.concatenate([i for i, _ in group]) for group in shapes.values()], into, sums % (2 * spread + 1)),
+            (sector, lanes, (q[:, None] - q + spread).ravel()) if max(shapes) > (2, 2) else None)
 
 
 def _block_norms(blocks):
@@ -149,7 +149,7 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
         skew = np.zeros((len(batch), d, 2 * d))
         np.abs(batch, out=skew[:, :, d - 1::-1])
         return skew.reshape(len(batch), -1)[:, :d * width].reshape(xs.shape[:-2] + (d, width)).sum(axis=-2)
-    ((layouts, bins), shared), out = _sector_plan(tuple(charges)), np.zeros((len(batch), width))
+    ((layouts, into, column), shared), out = _sector_plan(tuple(charges)), np.zeros((len(batch), width))
     def binned(norms, shift, size):  # row i sums norms[i, j] into entry shift[j] of its size bins
         at = np.arange(len(norms))[:, None] * size + shift
         return np.bincount(at.ravel(), norms.ravel(), len(norms) * size).reshape(-1, size)
@@ -164,7 +164,7 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
             rest = ~ok if ok.any() else slice(None)  # chunk[rest] is a view if none passed
             flat = chunk[rest].reshape(-1, d * d)
             norms = np.concatenate([_block_norms(np.take(flat, index, axis=1)) for index in layouts], axis=1)
-            part[rest] = binned(norms, bins, len(layouts) * width).reshape(-1, len(layouts), width).sum(axis=1)
+            part[rest] = binned(binned(norms, into, len(column)), column, width)  # each layout's sums in turn
     return out.reshape(xs.shape[:-2] + (width,))
 
 
