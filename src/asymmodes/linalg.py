@@ -65,10 +65,9 @@ def trace_norm(a) -> float:
 @lru_cache(maxsize=32)
 def _sector_plan(charges: tuple) -> tuple:
     """The sector blocks (a, b) grouped by shape (r, c), r <= c, a tall block transposed: per shape, flat
-    indices (blocks, r, c) into the d x d operator; per block, in that order, the index of its sum (shape,
-    q_a - q_b + spread) among the sums in use, which run shape by shape, and each sum's column.  If some
-    block is over 2x2, for _shared_factors: each state's sector, each sector's members (padded with d) and
-    the column q_a - q_b + spread of each block (a, b)."""
+    indices (blocks, r, c) into the d x d operator; per block, in that order, its column q_a - q_b + spread.
+    If some block is over 2x2, for _shared_factors: each state's sector, each sector's members (padded with
+    d) and the column of each block (a, b), a and b in charge order."""
     q, sector = np.unique(charges, return_inverse=True)
     sizes, d, spread = np.bincount(sector), len(charges), q[-1] - q[0]
     members = np.append(np.argsort(sector, kind="stable"), d)
@@ -80,9 +79,8 @@ def _sector_plan(charges: tuple) -> tuple:
             index = (rows[:, None, :, None] * d + cols[None, :, None, :]).reshape(-1, r, c)
             shapes.setdefault((min(r, c), max(r, c)), []).append(  # shapes arrive in sorted order
                 (index if r <= c else index.swapaxes(1, 2), (qa[:, None] - qb).ravel()))
-    sums, into = np.unique(np.concatenate([n * (2 * spread + 1) + k for n, group in enumerate(shapes.values())
-                                           for _, k in group]) + spread, return_inverse=True)
-    return (([np.concatenate([i for i, _ in group]) for group in shapes.values()], into, sums % (2 * spread + 1)),
+    return (([np.concatenate([index for index, _ in group]) for group in shapes.values()],
+             np.concatenate([k for group in shapes.values() for _, k in group]) + spread),
             (sector, lanes, (q[:, None] - q + spread).ravel()) if max(shapes) > (2, 2) else None)
 
 
@@ -149,22 +147,22 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
         skew = np.zeros((len(batch), d, 2 * d))
         np.abs(batch, out=skew[:, :, d - 1::-1])
         return skew.reshape(len(batch), -1)[:, :d * width].reshape(xs.shape[:-2] + (d, width)).sum(axis=-2)
-    ((layouts, into, column), shared), out = _sector_plan(tuple(charges)), np.zeros((len(batch), width))
-    def binned(norms, shift, size):  # row i sums norms[i, j] into entry shift[j] of its size bins
-        at = np.arange(len(norms))[:, None] * size + shift
-        return np.bincount(at.ravel(), norms.ravel(), len(norms) * size).reshape(-1, size)
+    ((layouts, column), shared), out = _sector_plan(tuple(charges)), np.zeros((len(batch), width))
+    def binned(norms, shift):  # row i sums norms[i, j] into column shift[j]
+        at = np.arange(len(norms))[:, None] * width + shift
+        return np.bincount(at.ravel(), norms.ravel(), len(norms) * width).reshape(-1, width)
     step = max(1, 2**18 // d**2)
     for lo in range(0, len(batch), step):
         chunk, part = batch[lo:lo + step], out[lo:lo + step]
         ok = np.zeros(len(chunk), bool)
         if shared is not None:
             norms, ok = _shared_factors(chunk, *shared[:2])
-            part[ok] = binned(norms[ok], shared[2], width)
+            part[ok] = binned(norms[ok], shared[2])
         if not ok.all():
             rest = ~ok if ok.any() else slice(None)  # chunk[rest] is a view if none passed
             flat = chunk[rest].reshape(-1, d * d)
             norms = np.concatenate([_block_norms(np.take(flat, index, axis=1)) for index in layouts], axis=1)
-            part[rest] = binned(binned(norms, into, len(column)), column, width)  # each layout's sums in turn
+            part[rest] = binned(norms, column)
     return out.reshape(xs.shape[:-2] + (width,))
 
 
