@@ -207,10 +207,9 @@ def coefficient_bounds_check(c: CovariantChannelCoefficients, tol: float = 1e-9)
     for tmu, block in c.mu_blocks.items():
         if block.shape != (1, 1):
             raise ValueError("bounds check requires multiplicity-free bases")
-        a = c.in_basis.alphas_for(tmu)[0]
-        b = c.out_basis.alphas_for(tmu)[0]
-        per_m = {(tmu, tm): trace_norm(c.in_basis.ops[(tmu, tm, a)]) / trace_norm(c.out_basis.ops[(tmu, tm, b)])
-                 for tm in range(tmu, -tmu - 1, -2)}
+        ratios = (c.in_basis.row_trace_norms[c.in_basis.rank_rows[tmu]]       # rows run m ascending
+                  / c.out_basis.row_trace_norms[c.out_basis.rank_rows[tmu]])
+        per_m = {(tmu, tm): ratio for tm, ratio in zip(range(tmu, -tmu - 1, -2), ratios[::-1].tolist())}
         bounds.update(per_m)
         if abs(block[0, 0]) > min(per_m.values()) + tol:
             violations.append(tmu)

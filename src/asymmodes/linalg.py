@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+_MAX_STACK_BYTES = 2**29   # bytes of the largest dense stack or mode-norm output a call allocates
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -137,12 +138,16 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
     Else, if some block is over 2x2, a matrix passing _shared_factors takes every block from it; any
     other is np.take-gathered per chunk of ~2**18 entries into one layout per block shape (_block_norms:
     a closed form up to 2x2, else one batched SVD per shape).  Each matrix is decided alone, by that
-    one rule, so a batch reads as its matrices do one by one."""
+    one rule, so a batch reads as its matrices do one by one.  Raises ValueError, before it allocates,
+    when the (n, 2 spread + 1) output would exceed _MAX_STACK_BYTES."""
     xs = np.asarray(xs, dtype=complex)
     d, width = len(charges), 2 * (max(charges) - min(charges)) + 1
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {xs.shape} does not match {d} charges")
     batch = xs.reshape(-1, d, d)
+    if (nbytes := 8 * len(batch) * width) > _MAX_STACK_BYTES:
+        raise ValueError(f"mode norms of {len(batch)} operators over {width} modes need {nbytes} bytes, "
+                         f"over the {_MAX_STACK_BYTES}-byte limit")
     if tuple(charges) == tuple(range(charges[0], charges[0] + d)):  # column (d - 1) + i - j sums mode i - j
         skew = np.zeros((len(batch), d, 2 * d))
         np.abs(batch, out=skew[:, :, d - 1::-1])

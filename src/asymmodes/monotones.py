@@ -62,8 +62,9 @@ def mode_monotone_table(rho, rep, max_rank=None) -> ModeMonotoneTable:
 
 def spin_j_mode_monotone(rho, j, mu, m) -> float:
     """Multiplicity-free closed form tr(sqrt(T T^dag)) |tr(T rho)|."""
-    t = tensor_basis_spin_j(j).op(mu, m)
-    return trace_norm(t) * abs(complex(np.trace(t @ _as_matrix(rho))))
+    basis, label = tensor_basis_spin_j(j), (_twice(mu), _twice(m), 0)
+    t, norm = basis.ops[label], basis.row_trace_norms[bisect_left(basis.labels, label)]
+    return float(norm) * abs(complex(np.trace(t @ _as_matrix(rho))))
 
 
 def ensemble_bound_g(rho, ensemble, rep, tol: float = 1e-10):

@@ -8,7 +8,6 @@ as {"blocks": [{"twice_j": t, "mult": m}, ...]}.
 from __future__ import annotations
 
 import json
-import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -113,48 +112,25 @@ def load_json(path: str):
         return json.load(fh)
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _key_text(key) -> str:
-    """A dict key as json writes it: int, float, bool and None keys become strings."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):    # bool is an int
-        return f'"{_encode(key, "", set())}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    """A dict key as json writes it: a str escaped, any other as in json.dumps({key: 0}) or refused."""
+    return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
 
 
 def _encode(obj, pad: str, open_ids: set) -> str:
     """obj as json.dumps lays it out with a two-space indent and sorted keys,
     inside a container indented by pad.  An indent turns json's C encoder off, so
-    json formats every float in Python; here a list of finite floats is one join.
+    json formats every float in Python; here a list of finite floats is one join,
+    an exact int is its repr, and json.dumps writes (or refuses) any other scalar.
     open_ids holds the containers being written, to refuse cycles as json does."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
+    if type(obj) is int:    # a basis file holds many
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
     if isinstance(obj, dict):
         opener, closer = "{}"
     elif isinstance(obj, (list, tuple)):
         opener, closer = "[]"
     else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        return json.dumps(obj)
     if not obj:
         return opener + closer
     if id(obj) in open_ids:

@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import _as_matrix, sector_trace_norms
+from .linalg import _MAX_STACK_BYTES, _as_matrix, sector_trace_norms
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +432,11 @@ class TensorOperatorBasis:
 
     @cached_property
     def row_trace_norms(self) -> np.ndarray:
-        """||T_k||_1 of every row k of a basis on a block representation, from one
-        sector_trace_norms call: row (mu, m, alpha) shifts every Lz sector by m.
-        Built once per instance, read-only."""
+        """||T_k||_1 of every row k.  On a block representation, one sector_trace_norms
+        call: row (mu, m, alpha) shifts every Lz sector by m; without one (rep is None),
+        one batched SVD of the stack.  Built once per instance, read-only."""
         if self.rep is None:
-            raise ValueError("row_trace_norms needs a basis on a block representation (rep is None)")
+            return _read_only(np.linalg.svd(self.stack, compute_uv=False).sum(axis=1))
         norms = sector_trace_norms(self.stack, self.rep.twice_m)
         shifts = [tm + norms.shape[1] // 2 for _, tm, _ in self.labels]
         return _read_only(norms[np.arange(len(norms)), shifts])
@@ -481,9 +481,6 @@ class TensorOperatorBasis:
 
     def reconstruct(self, x) -> np.ndarray:
         return _expand(self.coefficients(x), self.stack)
-
-
-_MAX_STACK_BYTES = 2**29   # bytes of the largest dense stack a basis build or the quadrature oracle allocates
 
 
 def _tensor_ops_between(left: DecomposedRep, right: DecomposedRep,

@@ -176,10 +176,15 @@ class FourierWeights:
     @classmethod
     def from_samples(cls, thetas, pdf_values):
         """Trapezoidal p_k from a sampled density on [0, 2pi]; returns
-        (weights, normalization_error)."""
+        (weights, normalization_error).  The samples must be finite and nonnegative,
+        with a positive integral."""
         thetas = np.asarray(thetas, dtype=float)
         pdf = np.asarray(pdf_values, dtype=float)
+        if not np.isfinite(pdf).all() or (pdf < 0).any():
+            raise ValueError("density samples must be finite and nonnegative")
         norm = np.trapezoid(pdf, thetas)
+        if not norm > 0:
+            raise ValueError(f"density samples integrate to {norm}, not to a positive total")
         err = abs(norm - 1.0)
         pdf = pdf / norm
 

@@ -48,7 +48,7 @@ from asymmodes.channels import (
     random_covariant_instrument,
     superop_twirl_basis,
 )
-from asymmodes.su2 import _rows
+from asymmodes.su2 import _rows, tensor_basis_for
 
 REP_HALF = SU2Representation.spin(0.5)
 REP_ONE = SU2Representation.spin(1)
@@ -199,6 +199,20 @@ def test_coefficient_bounds_check():
     for (tmu, tm), bound in rep_cross.bounds.items():
         expected = trace_norm(basis_one.ops[(tmu, tm, 0)]) / trace_norm(basis_half.ops[(tmu, tm, 0)])
         assert bound == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("j_out", [0.5, 1, 1.5, 2])
+def test_coefficient_bounds_check_without_a_block_representation(j_out):
+    # bases on a DecomposedRep have rep None: their row norms come from SVDs, not Lz sectors
+    rep_out = SU2Representation.spin(j_out)
+    blocks = [tensor_basis_general(rep) for rep in (REP_ONE, rep_out)]
+    bare = [tensor_basis_for(decompose(rep)) for rep in (REP_ONE, rep_out)]
+    assert bare[0].rep is None and bare[1].rep is None
+    chan = random_covariant_channel(REP_ONE, rep_out, np.random.default_rng(5))
+    want = coefficient_bounds_check(reduce_covariant(chan, *blocks)[0])
+    got = coefficient_bounds_check(reduce_covariant(chan, *bare)[0])
+    assert list(got.bounds) == list(want.bounds) and got.violations == want.violations and got.ok
+    np.testing.assert_allclose(list(got.bounds.values()), list(want.bounds.values()), rtol=1e-12, atol=0)
 
 
 def test_twirl_superop():

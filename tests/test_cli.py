@@ -121,6 +121,20 @@ def test_degrade_csv(workspace, capsys):
     assert rows[(1, "2", "0")] == pytest.approx(0.5 * rows[(0, "2", "0")])
 
 
+@pytest.mark.parametrize("args", [
+    ["u1", "decompose", "--state", "coh", "--charges", "charges"],
+    ["u1", "decompose", "--state", "diag", "--charges", "charges"],
+    ["su2", "tensor-basis", "--rep", "rep1"],
+    ["su2", "channel-reduce", "--channel", "chan", "--in-rep", "rephalf", "--out-rep", "rephalf"],
+    ["su2", "psucc", "--state", "uphalf", "--twice-j", "1", "--oracle"],
+], ids=lambda args: " ".join(args[:2]) + (" --oracle" if "--oracle" in args else ""))
+def test_json_stdout_has_the_layout_of_json_dumps(workspace, capsys, args):
+    rc = main([workspace.get(arg, arg) for arg in args])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_determinism(workspace, capsys):
     args = ["u1", "decompose", "--state", workspace["coh"], "--charges", workspace["charges"]]
     main(args)

@@ -25,7 +25,7 @@ def containers(children):
             | st.dictionaries(st.none(), children, max_size=1))
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=300, derandomize=True)
 @given(st.recursive(scalars, containers, max_leaves=40))
 def test_dump_json_matches_json_dumps_layout(obj):
     assert dump_json(obj) == reference(obj)

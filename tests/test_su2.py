@@ -902,9 +902,13 @@ def test_rank_rows_and_row_trace_norms(blocks):
         norms[0] = 0.0
 
 
-def test_row_trace_norms_needs_a_block_representation():
+def test_row_trace_norms_without_a_block_representation():
+    # one batched SVD of the stack when there are no Lz sectors to read
     rep = SU2Representation(((1, 1), (2, 1)))
     for basis in (tensor_basis_for(decompose(rep)), superop_tensor_basis(rep, rep, ranks={0})):
         assert basis.rep is None
-        with pytest.raises(ValueError, match="block representation"):
-            basis.row_trace_norms
+        norms = basis.row_trace_norms
+        assert norms is basis.row_trace_norms
+        np.testing.assert_allclose(norms, [trace_norm(t) for t in basis.stack], rtol=1e-12, atol=0)
+        with pytest.raises(ValueError):
+            norms[0] = 0.0

@@ -135,7 +135,7 @@ def test_mode_monotone_superposition_half():
         assert pure_mode_norm(psi, n) == pytest.approx(0.5, abs=1e-12)
 
 
-@settings(deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30, derandomize=True)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 def test_mode_monotone_ceiling_for_pure_states(d, seed):
     rng = np.random.default_rng(seed)
@@ -191,6 +191,14 @@ def test_fourier_weights_from_samples():
     weights, err = FourierWeights.from_samples(thetas, pdf)
     assert err < 1e-9
     assert abs(weights.coefficient(1)) < 1e-6
+
+
+@pytest.mark.parametrize("pdf", [np.zeros(401), np.r_[np.inf, np.ones(400)], np.r_[np.nan, np.ones(400)],
+                                 np.full(401, -1 / (2 * np.pi)), np.r_[-1e-3, np.ones(400)]],
+                         ids=["zero", "inf", "nan", "negative", "one-negative"])
+def test_fourier_weights_from_samples_rejects_what_is_no_density(pdf):
+    with pytest.raises(ValueError, match="density samples"):
+        FourierWeights.from_samples(np.linspace(0, 2 * np.pi, 401), pdf)
 
 
 def test_transition_bound_self_and_prop1_violation():
@@ -419,7 +427,7 @@ def dense_mode_norms(x, rep):
     return np.array([mode_monotone(x, rep, k) for k in range(-rep.spread, rep.spread + 1)])
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=40, derandomize=True)
 @given(st.lists(st.integers(min_value=-4, max_value=6), min_size=1, max_size=24),
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_mode_norms_match_dense_route(charges, seed):
@@ -607,6 +615,20 @@ def test_mode_norms_of_a_two_mode_mixed_state_within_budget(monkeypatch):
     diffs = rep.charge_diffs()
     for k in (-40, -7, 0, 1, 25):
         assert norms[k + rep.spread] == pytest.approx(trace_norm(np.where(diffs == k, x, 0)), rel=1e-12, abs=0)
+
+
+def test_mode_norms_over_a_huge_charge_spread_raise_before_allocating():
+    # an (n, 2 spread + 1) output over 2**41 modes would need 16 TiB
+    rho = np.eye(2, dtype=complex) / 2
+    start = timeit.default_timer()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"need 17592186044424 bytes, over the \d+-byte limit"):
+            modes_of(rho, U1Representation((0, 2**40)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert timeit.default_timer() - start <= 0.1 and peak <= 2**20
 
 
 def test_mode_norms_at_fock_cutoff_2000_build_no_plan():
