@@ -131,6 +131,12 @@ def _shared_factors(xs, sector, lanes):
     return norms.reshape(n, -1), ok
 
 
+@lru_cache(maxsize=32)
+def _charge_facts(charges: tuple) -> tuple:
+    """The mode count 2 spread + 1 of the charges, and whether they are consecutive and ascending (Fock)."""
+    return 2 * (max(charges) - min(charges)) + 1, charges == tuple(range(charges[0], charges[0] + len(charges)))
+
+
 def sector_trace_norms(xs, charges) -> np.ndarray:
     """Entry [i, k + spread] sums the trace norms of the blocks xs[i][sector a, sector b] with
     q_a - q_b = k, for a batch (n, d, d) or one matrix: mode k has only such blocks, in disjoint
@@ -140,19 +146,19 @@ def sector_trace_norms(xs, charges) -> np.ndarray:
     a closed form up to 2x2, else one batched SVD per shape).  Each matrix is decided alone, by that
     one rule, so a batch reads as its matrices do one by one.  Raises ValueError, before it allocates,
     when the (n, 2 spread + 1) output would exceed _MAX_STACK_BYTES."""
-    xs = np.asarray(xs, dtype=complex)
-    d, width = len(charges), 2 * (max(charges) - min(charges)) + 1
+    xs, charges = np.asarray(xs, dtype=complex), tuple(charges)
+    (width, fock), d = _charge_facts(charges), len(charges)
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {xs.shape} does not match {d} charges")
     batch = xs.reshape(-1, d, d)
     if (nbytes := 8 * len(batch) * width) > _MAX_STACK_BYTES:
         raise ValueError(f"mode norms of {len(batch)} operators over {width} modes need {nbytes} bytes, "
                          f"over the {_MAX_STACK_BYTES}-byte limit")
-    if tuple(charges) == tuple(range(charges[0], charges[0] + d)):  # column (d - 1) + i - j sums mode i - j
+    if fock:  # column (d - 1) + i - j sums mode i - j
         skew = np.zeros((len(batch), d, 2 * d))
         np.abs(batch, out=skew[:, :, d - 1::-1])
         return skew.reshape(len(batch), -1)[:, :d * width].reshape(xs.shape[:-2] + (d, width)).sum(axis=-2)
-    ((layouts, column), shared), out = _sector_plan(tuple(charges)), np.zeros((len(batch), width))
+    ((layouts, column), shared), out = _sector_plan(charges), np.zeros((len(batch), width))
     def binned(norms, shift):  # row i sums norms[i, j] into column shift[j]
         at = np.arange(len(norms))[:, None] * width + shift
         return np.bincount(at.ravel(), norms.ravel(), len(norms) * width).reshape(-1, width)

@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _as_matrix, channel_from_kraus, sector_trace_norms, trace_norm
+from .linalg import DEFAULT_TOL, _MAX_STACK_BYTES, _as_matrix, channel_from_kraus, sector_trace_norms, trace_norm
+
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class U1Representation:
     def dim(self) -> int:
         return len(self.charges)
 
-    @property
+    @cached_property
     def spread(self) -> int:
         return max(self.charges) - min(self.charges)
 
@@ -68,11 +70,14 @@ def mode_project(x, rep: U1Representation, k: int) -> np.ndarray:
 def mode_project_dft(x, rep: U1Representation, k: int, n_samples: int | None = None) -> np.ndarray:
     """Cross-check oracle: discrete quadrature of the averaging integral.
 
-    Exact for n_samples >= 2*spread + 1 because the integrand is band-limited.
-    """
+    Exact for n_samples >= 2*spread + 1 because the integrand is band-limited.  Raises ValueError,
+    before the loop, when its L samples of d x d operators exceed _MAX_STACK_BYTES / 16 entries."""
     x = _as_matrix(x)
     _check_dims(x, rep)
     L = n_samples or (2 * rep.spread + 1)
+    if (entries := L * rep.dim ** 2) > _MAX_STACK_BYTES // 16:
+        raise ValueError(f"{L} samples of {rep.dim}x{rep.dim} operators hold {entries} entries, "
+                         f"over the {_MAX_STACK_BYTES // 16}-entry limit")
     out = np.zeros_like(x)
     for i in range(L):
         theta = 2 * np.pi * i / L
@@ -88,7 +93,7 @@ def mode_norms(x, rep: U1Representation) -> np.ndarray:
 
 def modes_of(x, rep: U1Representation, tol: float = DEFAULT_TOL) -> set:
     """Set of modes k with ||x^(k)|| above tol."""
-    return {k for k, nrm in zip(range(-rep.spread, rep.spread + 1), mode_norms(x, rep).tolist()) if nrm > tol}
+    return set((np.flatnonzero(mode_norms(x, rep) > tol) - rep.spread).tolist())
 
 
 class _ModeComponents(Mapping):
@@ -124,8 +129,8 @@ class U1ModeSpectrum:
 def mode_spectrum(x, rep: U1Representation, tol: float = 0.0) -> U1ModeSpectrum:
     """Norms of the modes above tol; their components are built when read."""
     x = _as_matrix(x)
-    ks = range(-rep.spread, rep.spread + 1)
-    norms = {k: nrm for k, nrm in zip(ks, mode_norms(x, rep).tolist()) if nrm > tol}
+    kept = np.flatnonzero((norms := mode_norms(x, rep)) > tol)
+    norms = dict(zip((kept - rep.spread).tolist(), norms[kept].tolist()))
     return U1ModeSpectrum(_ModeComponents(x, rep, norms), norms)
 
 
@@ -136,25 +141,30 @@ def mode_monotone(rho, rep: U1Representation, k: int) -> float:
 
 class FourierWeights:
     """Fourier coefficients p_k = int dtheta p(theta) e^{-i k theta} of a
-    probability density over the circle."""
+    probability density over the circle.  The coefficient function takes an int
+    array of k and returns p_k elementwise."""
 
-    def __init__(self, coefficient_fn: Callable[[int], complex], tol: float = 1e-9):
-        p0 = complex(coefficient_fn(0))
+    def __init__(self, coefficient_fn: Callable[[np.ndarray], np.ndarray], tol: float = 1e-9):
+        self._fn = coefficient_fn
+        p0 = self.coefficient(0)
         if abs(p0 - 1.0) > tol:
             raise ValueError(f"p_0 = {p0} must equal 1 for a probability density")
-        self._fn = coefficient_fn
+
+    def coefficients(self, ks) -> np.ndarray:
+        """p_k for each k of the int array ks, from one call of the coefficient function."""
+        return np.asarray(self._fn(np.asarray(ks, dtype=int)), dtype=complex)
 
     def coefficient(self, k: int) -> complex:
-        return complex(self._fn(int(k)))
+        return complex(self.coefficients([int(k)])[0])
 
     @classmethod
     def from_map(cls, coefficients: dict) -> "FourierWeights":
         table = {int(k): complex(v) for k, v in coefficients.items()}
-        return cls(lambda k: table.get(k, 0.0))
+        return cls(lambda ks: [table.get(k, 0.0) for k in ks.tolist()])
 
     @classmethod
     def uniform(cls) -> "FourierWeights":
-        return cls(lambda k: 1.0 if k == 0 else 0.0)
+        return cls(lambda k: np.where(k == 0, 1.0, 0.0))
 
     @classmethod
     def delta(cls, theta0: float = 0.0) -> "FourierWeights":
@@ -166,12 +176,13 @@ class FourierWeights:
         weights = np.asarray(weights, dtype=float)
         if abs(weights.sum() - 1.0) > 1e-9 or (weights < 0).any():
             raise ValueError("point masses must be nonnegative and sum to 1")
-        return cls(lambda k: complex(np.sum(weights * np.exp(-1j * k * angles))))
+        return cls(lambda ks: [np.sum(weights * np.exp(-1j * k * angles)) for k in ks.tolist()])
 
     @classmethod
     def gaussian(cls, delta_theta: float, mean: float = 0.0) -> "FourierWeights":
-        """Wrapped Gaussian with standard deviation delta_theta: |p_k| = e^{-k^2 dt^2/2}."""
-        return cls(lambda k: np.exp(-1j * k * mean - 0.5 * (k * delta_theta) ** 2))
+        """Wrapped Gaussian with standard deviation delta_theta: |p_k| = e^{-k^2 dt^2/2}.  The square is
+        float_power's, which is libm pow as in a Python k ** 2, bit for bit; numpy's square is not."""
+        return cls(lambda k: np.exp(-1j * k * mean - 0.5 * np.float_power(k * delta_theta, 2)))
 
     @classmethod
     def from_samples(cls, thetas, pdf_values):
@@ -188,8 +199,8 @@ class FourierWeights:
         err = abs(norm - 1.0)
         pdf = pdf / norm
 
-        def fn(k):
-            return complex(np.trapezoid(pdf * np.exp(-1j * k * thetas), thetas))
+        def fn(ks):  # one k at a time, so memory stays that of the samples
+            return [np.trapezoid(pdf * np.exp(-1j * k * thetas), thetas) for k in ks.tolist()]
 
         return cls(fn), err
 
@@ -200,19 +211,20 @@ def weighted_twirl(rho, rep: U1Representation, weights: FourierWeights) -> np.nd
     rho = _as_matrix(rho)
     _check_dims(rho, rep)
     ks, inverse = _diff_classes(rep.charges)
-    lut = np.array([weights.coefficient(-k) for k in ks])
-    return lut[inverse] * rho
+    out = weights.coefficients(-ks)[inverse]
+    out *= rho
+    return out
 
 
 @lru_cache(maxsize=32)
 def _diff_classes(charges: tuple) -> tuple:
-    """The distinct charge differences n_r - n_c, as ints, and the (d, d) index of
+    """The distinct charge differences n_r - n_c, an int array, and the (d, d) index of
     each entry's difference among them; built once per charges, read-only."""
     n = np.asarray(charges)
     ks, inverse = np.unique(n[:, None] - n[None, :], return_inverse=True)
     inverse = inverse.reshape(len(n), len(n))
-    inverse.flags.writeable = False
-    return tuple(ks.tolist()), inverse
+    ks.flags.writeable = inverse.flags.writeable = False
+    return ks, inverse
 
 
 @dataclass(frozen=True)
@@ -230,12 +242,15 @@ class TransitionBound:
 
 def transition_bound(rho, sigma, rep: U1Representation, tol: float = DEFAULT_TOL) -> TransitionBound:
     """Bounds p ||sigma^(k)|| <= ||rho^(k)||, capped at 1, for every mode of
-    sigma above tol.  If sigma has a mode that rho lacks, the overall bound is 0."""
-    ks = range(-rep.spread, rep.spread + 1)
-    per = {k: 0.0 if nr <= tol else min(1.0, nr / ns)
-           for k, nr, ns in zip(ks, mode_norms(rho, rep).tolist(), mode_norms(sigma, rep).tolist())
-           if ns > tol}
-    return TransitionBound(per, min(per.values(), default=1.0))
+    sigma above tol.  If sigma has a mode that rho lacks, the overall bound is 0.
+    A mode where either norm is NaN reads NaN, and so does the overall bound."""
+    r, s = mode_norms(rho, rep), mode_norms(sigma, rep)
+    kept = np.flatnonzero(~(s <= tol) | np.isnan(r))  # sigma's modes above tol, and every NaN
+    r, s = r[kept], s[kept]
+    with np.errstate(over="ignore", invalid="ignore"):  # r / s may overflow, quietly, as in Python
+        per = np.minimum(1.0, r / s)
+    per[(r <= tol) & ~np.isnan(s)] = 0.0
+    return TransitionBound(dict(zip((kept - rep.spread).tolist(), per.tolist())), float(per.min(initial=1.0)))
 
 
 def ensemble_bound(rho, ensemble, rep: U1Representation, tol: float = DEFAULT_TOL):
@@ -244,12 +259,11 @@ def ensemble_bound(rho, ensemble, rep: U1Representation, tol: float = DEFAULT_TO
     probs = [p for _, p in ensemble]
     if any(p < 0 for p in probs) or sum(probs) > 1 + 1e-9:
         raise ValueError("ensemble probabilities must be nonnegative with sum <= 1")
-    ks = range(-rep.spread, rep.spread + 1)
     r = mode_norms(rho, rep)
     s = sum((p * mode_norms(sig, rep) for sig, p in ensemble), np.zeros_like(r))
-    residuals = {k: rk - sk for k, rk, sk in zip(ks, r.tolist(), s.tolist()) if rk > tol or sk > tol}
-    feasible = all(v >= -tol for v in residuals.values())
-    return residuals, feasible
+    kept = np.flatnonzero(~((r <= tol) & (s <= tol)))  # NaN compares false, so a NaN residual is kept
+    res = r[kept] - s[kept]
+    return dict(zip((kept - rep.spread).tolist(), res.tolist())), bool((res >= -tol).all())
 
 
 def joint_mode_component(rho1, rep1: U1Representation, rho2, rep2: U1Representation, j: int) -> np.ndarray:
@@ -312,12 +326,12 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> CoherentState:
 
 def pure_mode_norm(psi, k: int) -> float:
     """sum_n |psi_{n+k}||psi_n| for amplitudes on consecutive charges."""
-    psi = np.asarray(psi).reshape(-1)
-    psi = np.abs(psi if psi.dtype == float else psi.astype(complex))  # |x| is abs(complex(x, 0)) exactly
-    k = abs(int(k))
-    if k >= psi.size:
+    psi = np.asarray(psi).ravel()
+    psi = np.abs(psi if psi.dtype is _FLOAT else psi.astype(complex))  # |x| is abs(complex(x, 0)) exactly
+    n, k = psi.size, abs(int(k))
+    if k >= n:
         return 0.0
-    return float(np.add.reduce(psi[k:] * psi[: psi.size - k]))
+    return float(np.add.reduce(psi[k:] * psi[: n - k]))
 
 
 def amplifier_envelope(alpha: complex, alpha_prime: complex, k: int) -> float:

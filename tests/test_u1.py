@@ -1,3 +1,4 @@
+import math
 import timeit
 import tracemalloc
 from collections import Counter
@@ -28,9 +29,10 @@ from asymmodes import (
     trace_norm,
     weighted_twirl,
 )
-from asymmodes import u1
+from asymmodes import DEFAULT_TOL, u1
 from asymmodes.linalg import _sector_plan, sector_trace_norms
 from asymmodes.u1 import random_covariant_channel, random_covariant_instrument
+from test_linalg import degenerate_charges
 
 
 def rand_state(rng, d):
@@ -662,3 +664,137 @@ def test_fock_path_equals_the_plan_path_bit_for_bit(cutoff):
     for x in xs:
         np.testing.assert_array_equal(mode_norms(x, fock), mode_norms(x, even)[::2])
     np.testing.assert_array_equal(sector_trace_norms(xs, fock.charges), sector_trace_norms(xs, even.charges)[:, ::2])
+
+
+def test_mode_project_dft_over_a_huge_charge_spread_raises_before_its_loop():
+    # 2 * 2**40 + 1 samples of 2 x 2 operators: the loop would run for years
+    start = timeit.default_timer()
+    with pytest.raises(ValueError, match=r"2199023255553 samples of 2x2 operators hold 8796093022212 entries, "
+                                         r"over the 33554432-entry limit"):
+        mode_project_dft(np.eye(2) / 2, U1Representation((0, 2**40)), 1)
+    assert timeit.default_timer() - start <= 0.1
+
+
+@pytest.mark.parametrize("corrupt", ["rho", "sigma"])
+def test_a_nan_mode_makes_the_bounds_nan_and_infeasible(corrupt):
+    # rho[0, 1] sits in mode -1; the other state is diagonal, so its mode -1 is 0, below tol
+    rep = U1Representation((0, 1, 2))
+    states = {"rho": rand_state(np.random.default_rng(21), 3), "sigma": np.diag([0.5, 0.3, 0.2]).astype(complex)}
+    if corrupt == "sigma":
+        states = {"rho": states["sigma"], "sigma": states["rho"]}
+    states[corrupt][0, 1] = np.nan
+    bound = transition_bound(states["rho"], states["sigma"], rep)
+    assert math.isnan(bound.per_mode[-1]) and math.isnan(bound.overall) and not bound.feasible
+    assert not any(math.isnan(v) for k, v in bound.per_mode.items() if k != -1)
+    residuals, feasible = ensemble_bound(states["rho"], [(states["sigma"], 0.5)], rep)
+    assert math.isnan(residuals[-1]) and not feasible
+    assert not any(math.isnan(v) for k, v in residuals.items() if k != -1)
+
+
+def _modes_of_oracle(x, rep, tol):
+    return {k for k, nrm in zip(range(-rep.spread, rep.spread + 1), mode_norms(x, rep).tolist()) if nrm > tol}
+
+
+def _mode_spectrum_oracle(x, rep, tol):
+    return {k: nrm for k, nrm in zip(range(-rep.spread, rep.spread + 1), mode_norms(x, rep).tolist()) if nrm > tol}
+
+
+def _transition_bound_oracle(rho, sigma, rep, tol):
+    ks = range(-rep.spread, rep.spread + 1)
+    per = {k: 0.0 if nr <= tol else min(1.0, nr / ns)
+           for k, nr, ns in zip(ks, mode_norms(rho, rep).tolist(), mode_norms(sigma, rep).tolist())
+           if ns > tol}
+    return per, min(per.values(), default=1.0)
+
+
+def _ensemble_bound_oracle(rho, ensemble, rep, tol):
+    ks = range(-rep.spread, rep.spread + 1)
+    r = mode_norms(rho, rep)
+    s = sum((p * mode_norms(sig, rep) for sig, p in ensemble), np.zeros_like(r))
+    residuals = {k: rk - sk for k, rk, sk in zip(ks, r.tolist(), s.tolist()) if rk > tol or sk > tol}
+    return residuals, all(v >= -tol for v in residuals.values())
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(degenerate_charges, st.integers(min_value=0, max_value=2**32 - 1))
+def test_mode_masks_equal_the_per_mode_comprehensions_bit_for_bit(charges, seed):
+    # repr tells every float bit apart (-0.0 too) and keeps the dict order
+    rng = np.random.default_rng(seed)
+    rep = U1Representation(charges)
+    psi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    mixed = rand_state(rng, rep.dim)
+    gapped = np.where(np.abs(rep.charge_diffs()) == 1, 0, mixed)  # modes +-1 exactly 0
+    states = (pure, mixed, gapped, weighted_twirl(pure, rep, FourierWeights.gaussian(0.7)))
+    for tol in (0.0, DEFAULT_TOL, 10.0):
+        for x in states:
+            assert modes_of(x, rep, tol) == _modes_of_oracle(x, rep, tol)
+            assert repr(mode_spectrum(x, rep, tol).norms) == repr(_mode_spectrum_oracle(x, rep, tol))
+            for y in states:
+                bound = transition_bound(x, y, rep, tol)
+                assert repr((bound.per_mode, bound.overall)) == repr(_transition_bound_oracle(x, y, rep, tol))
+                ensemble = [(y, 0.6), (pure, 0.3)]
+                assert repr(ensemble_bound(x, ensemble, rep, tol)) == repr(_ensemble_bound_oracle(x, ensemble, rep, tol))
+
+
+def _every_fourier_weights():
+    thetas = np.linspace(0, 2 * np.pi, 401)
+    return {"from_map": FourierWeights.from_map({0: 1.0, 2: 0.25j, -3: 0.5}), "uniform": FourierWeights.uniform(),
+            "delta": FourierWeights.delta(0.9), "gaussian": FourierWeights.gaussian(0.35, mean=-1.2),
+            "from_point_masses": FourierWeights.from_point_masses([0.3, 2.0], [0.25, 0.75]),
+            "from_samples": FourierWeights.from_samples(thetas, np.exp(np.cos(thetas)))[0]}
+
+
+@pytest.mark.parametrize("name", sorted(_every_fourier_weights()))
+def test_fourier_weights_coefficient_reads_one_entry_of_coefficients(name):
+    weights = _every_fourier_weights()[name]
+    ks = np.arange(-60, 61)
+    table = weights.coefficients(ks)
+    assert table.dtype == complex and table.shape == ks.shape
+    singles = np.array([weights.coefficient(k) for k in ks.tolist()])
+    assert table.tobytes() == singles.tobytes()
+    assert all(weights.coefficient(k) == weights.coefficients([k])[0] for k in ks.tolist())
+
+
+@pytest.mark.parametrize("delta_theta, mean", [(0.3, 0.0), (0.35, -1.2), (1e-3, 2.5), (2.0, 0.4)])
+def test_gaussian_and_delta_weights_equal_the_scalar_formulas_bit_for_bit(delta_theta, mean):
+    # the scalar formulas on Python ints; k ** 2 is libm pow, as float_power is
+    ks = range(-200, 201)
+    gaussian = [complex(np.exp(-1j * k * mean - 0.5 * (k * delta_theta) ** 2)) for k in ks]
+    delta = [complex(np.exp(-1j * k * mean)) for k in ks]
+    assert FourierWeights.gaussian(delta_theta, mean).coefficients(ks).tobytes() == np.array(gaussian).tobytes()
+    assert FourierWeights.delta(mean).coefficients(ks).tobytes() == np.array(delta).tobytes()
+
+
+def test_weighted_twirl_calls_the_weight_function_once():
+    calls = []
+    weights = FourierWeights(lambda ks: calls.append(ks.copy()) or np.exp(-0.5 * np.float_power(0.3 * ks, 2)))
+    rep = joint_representation(U1Representation(range(4)), U1Representation((0, 2, 3)))
+    rho = rand_state(np.random.default_rng(22), rep.dim)
+    calls.clear()
+    sigma = weighted_twirl(rho, rep, weights)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(np.sort(calls[0]), np.unique(rep.charge_diffs()))
+    np.testing.assert_array_equal(sigma, np.exp(-0.5 * np.float_power(0.3 * -rep.charge_diffs(), 2)) * rho)
+    ks, inverse = u1._diff_classes(rep.charges)
+    assert not ks.flags.writeable and not inverse.flags.writeable
+
+
+@pytest.mark.parametrize("call, mib", [("modes_of", 40), ("mode_spectrum", 40), ("transition_bound", 48)])
+def test_mode_selection_over_a_million_modes_within_budget(call, mib):
+    # 2 * 10**6 + 1 mode norms, of which three are nonzero: one mask selects them.  A norm row is
+    # 16 MB and the kernel holds two while it builds one (30.5 MiB traced); transition_bound keeps
+    # rho's row while it builds sigma's (45.8 MiB).  Python floats for every mode took 76 MiB and 3 s
+    rep = U1Representation((0, 10**6))
+    rho = np.full((2, 2), 0.5, dtype=complex)
+    run = {"modes_of": lambda: modes_of(rho, rep), "mode_spectrum": lambda: mode_spectrum(rho, rep).norms,
+           "transition_bound": lambda: transition_bound(rho, rho, rep).per_mode}[call]
+    best = min(timeit.repeat(run, number=1, repeat=3))
+    tracemalloc.start()
+    try:
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert best <= 0.1 and peak <= mib * 2**20
+    assert sorted(got) == [-10**6, 0, 10**6]
