@@ -715,7 +715,7 @@ def _ensemble_bound_oracle(rho, ensemble, rep, tol):
     return residuals, all(v >= -tol for v in residuals.values())
 
 
-@settings(deadline=None, max_examples=30, derandomize=True)
+@settings(deadline=None, max_examples=20, derandomize=True)
 @given(degenerate_charges, st.integers(min_value=0, max_value=2**32 - 1))
 def test_mode_masks_equal_the_per_mode_comprehensions_bit_for_bit(charges, seed):
     # repr tells every float bit apart (-0.0 too) and keeps the dict order
@@ -784,7 +784,7 @@ def test_weighted_twirl_calls_the_weight_function_once():
 def test_mode_selection_over_a_million_modes_within_budget(call, mib):
     # 2 * 10**6 + 1 mode norms, of which three are nonzero: one mask selects them.  A norm row is
     # 16 MB and the kernel holds two while it builds one (30.5 MiB traced); transition_bound keeps
-    # rho's row while it builds sigma's (45.8 MiB).  Python floats for every mode took 76 MiB and 3 s
+    # rho's row while it builds sigma's (45.8 MiB).  A Python float per mode took 0.23 s and 76 MiB
     rep = U1Representation((0, 10**6))
     rho = np.full((2, 2), 0.5, dtype=complex)
     run = {"modes_of": lambda: modes_of(rho, rep), "mode_spectrum": lambda: mode_spectrum(rho, rep).norms,
